@@ -77,27 +77,6 @@ def _dispatch(ctx: GuessContext, trace):
     return run_two_valued(ctx, variant=variant, trace=trace)
 
 
-def _folded_loads(instance: Instance) -> dict[str, int]:
-    loads = {m.id: m.dedicated_load for m in instance.machines}
-    for j in instance.jobs:
-        if len(j.eligible) == 1:
-            (only,) = j.eligible
-            loads[only] += j.weight
-    return loads
-
-
-def _greedy_upper(instance: Instance) -> int:
-    loads = _folded_loads(instance)
-    multi = sorted(
-        (j for j in instance.jobs if len(j.eligible) >= 2),
-        key=lambda j: (-j.weight, j.id),
-    )
-    for job in multi:
-        best = min(instance.sorted_eligible(job), key=lambda v: loads[v])
-        loads[best] += job.weight
-    return max(loads.values(), default=0)
-
-
 def solve(
     instance: Instance,
     mode: SolveMode = SolveMode.AUTO,
@@ -117,14 +96,8 @@ def solve(
         mode, beta, report.heavy_weight, report.light_weight
     )
 
-    folded = _folded_loads(instance)
-    machines = max(len(instance.machines), 1)
-    lo = max(
-        instance.max_weight(),
-        max(folded.values(), default=0),
-        -(-instance.total_weight() // machines),
-    )
-    hi = max(lo, _greedy_upper(instance))
+    lo = oracle.trivial_lower_bound(instance)
+    hi = max(lo, oracle.greedy_makespan(instance))
 
     declarations: list[Declaration] = []
     invocations = 0

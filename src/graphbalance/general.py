@@ -20,10 +20,11 @@ from .errors import InvariantViolation, RegimeError
 from .preprocess import (
     ACTIVATED_SET,
     Declaration,
+    EdgeGraph,
     EdgeJob,
     GuessContext,
-    _cycle_sequence,
     min_edge_load_into,
+    orient_components,
 )
 from .push import (
     CoreStats,
@@ -62,7 +63,8 @@ class Orientation:
         self.in_degree: dict[str, int] = {v: 0 for v in graph.nodes}
 
     def direct(self, edge: EdgeJob, head: str) -> None:
-        assert self.head[edge.id] is None and head in (edge.u, edge.v)
+        if self.head[edge.id] is not None or head not in (edge.u, edge.v):
+            raise InvariantViolation(f"edge {edge.id} cannot be directed to {head}")
         self.head[edge.id] = head
         self.in_load[head] += edge.weight
         self.in_degree[head] += 1
@@ -151,7 +153,6 @@ class ExploreResult:
     conflict: set[str]
     round_activated: list[list[str]] = field(default_factory=list)
     round_conflict: list[set[str]] = field(default_factory=list)
-    initial_overloaded: set[str] = field(default_factory=set)
 
 
 def explore(
@@ -178,7 +179,7 @@ def explore(
 
     levels: dict[str, int] = {}
     conflict: set[str] = set()
-    result = ExploreResult(orient, levels, conflict, initial_overloaded=set(overloaded0))
+    result = ExploreResult(orient, levels, conflict)
     at = movables_by_machine(ctx, placement)
 
     def guard_overload() -> None:
@@ -322,62 +323,24 @@ def find_push_general(
     return PushMove(pid, u, v)
 
 
-def _complete_orientation(ctx: GuessContext, orient: Orientation, th: ThresholdsG):
-    """Direct the leftover neutral edges, at most one more per machine."""
+def _complete_orientation(ctx: GuessContext, orient: Orientation):
+    """Direct the leftover neutral edges, at most one more per machine.
+
+    Each tree of neutral edges points away from its lowest-index node that
+    already has an incoming edge, or from its lowest-index node."""
+    neutral = EdgeGraph(
+        ctx.graph.nodes, tuple(e for e in ctx.graph.edges if orient.neutral(e))
+    )
+
+    def root_of(piece) -> str:
+        with_incoming = [x for x in piece.nodes if orient.in_degree[x] > 0]
+        return min(with_incoming or piece.nodes, key=ctx.index)
+
+    edges = {e.id: e for e in neutral.edges}
     extra_in = {v: 0 for v in ctx.machine_ids}
-
-    def assign(edge: EdgeJob, head: str) -> None:
-        orient.direct(edge, head)
+    for eid, head in orient_components(neutral, root_of).items():
+        orient.direct(edges[eid], head)
         extra_in[head] += 1
-
-    for comp in ctx.graph.components():
-        neutral = [e for e in comp.edges if orient.neutral(e)]
-        if not neutral:
-            continue
-        remaining = {e.id: e for e in neutral}
-        adjacency: dict[str, list[EdgeJob]] = {}
-        for e in neutral:
-            adjacency.setdefault(e.u, []).append(e)
-            adjacency.setdefault(e.v, []).append(e)
-        piece_seen: set[str] = set()
-        for start in sorted(adjacency, key=ctx.index):
-            if start in piece_seen:
-                continue
-            piece_nodes = [start]
-            piece_seen.add(start)
-            queue = [start]
-            piece_edges = []
-            edge_ids = set()
-            while queue:
-                x = queue.pop()
-                for e in adjacency[x]:
-                    if e.id not in edge_ids:
-                        edge_ids.add(e.id)
-                        piece_edges.append(e)
-                    y = e.other(x)
-                    if y not in piece_seen:
-                        piece_seen.add(y)
-                        piece_nodes.append(y)
-                        queue.append(y)
-            if len(piece_edges) == len(piece_nodes):
-                for x, e in _cycle_sequence(ctx.graph, piece_nodes, piece_edges):
-                    assign(e, e.other(x))
-            else:
-                with_incoming = [x for x in piece_nodes if orient.in_degree[x] > 0]
-                pool = with_incoming or piece_nodes
-                root = min(pool, key=ctx.index)
-                seen = {root}
-                frontier = [root]
-                while frontier:
-                    x = frontier.pop()
-                    for e in adjacency[x]:
-                        if e.id in remaining and orient.neutral(e):
-                            y = e.other(x)
-                            if y not in seen:
-                                assign(e, y)
-                                seen.add(y)
-                                frontier.append(y)
-
     if any(count > 1 for count in extra_in.values()):
         raise InvariantViolation("a machine received two extra edge jobs")
 
@@ -437,11 +400,12 @@ def run_general(
 
 
 def _finish(ctx, result, th, placement) -> dict[str, str]:
-    _complete_orientation(ctx, result.orientation, th)
+    _complete_orientation(ctx, result.orientation)
     assignment = dict(placement)
     for e in ctx.graph.edges:
         head = result.orientation.head[e.id]
-        assert head is not None
+        if head is None:
+            raise InvariantViolation(f"edge {e.id} left neutral")
         assignment[e.id] = head
     ml = movable_loads(ctx, placement)
     for v in ctx.machine_ids:

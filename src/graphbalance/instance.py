@@ -121,12 +121,6 @@ class Instance:
     def machine_ids(self) -> list[str]:
         return [m.id for m in self.machines]
 
-    def job_by_id(self, job_id: str) -> JobSpec:
-        for j in self.jobs:
-            if j.id == job_id:
-                return j
-        raise KeyError(job_id)
-
     def sorted_eligible(self, job: JobSpec) -> list[str]:
         """Eligible machines of *job* in instance machine order."""
         return sorted(job.eligible, key=self.machine_index.__getitem__)
@@ -369,6 +363,8 @@ def generate_two_valued(
         raise ValueError("light weight must be strictly below heavy weight")
     if m < 2:
         raise ValueError("need at least two machines")
+    if n_heavy < 1:
+        raise ValueError("need at least one heavy job")
     if not (2 <= max_light_degree <= m):
         raise ValueError("max_light_degree must lie in [2, m]")
     rng = random.Random(seed)

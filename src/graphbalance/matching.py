@@ -9,18 +9,9 @@ which is the infeasibility witness.
 
 from __future__ import annotations
 
-from .errors import RegimeError
+from .errors import InvariantViolation, RegimeError
 from .preprocess import Declaration, GuessContext, HALL_VIOLATION
 from .push import CoreStats
-
-
-def _unit_items(ctx: GuessContext):
-    items = [(p.id, p.weight, ctx.sorted_eligible(p)) for p in ctx.movables]
-    for e in ctx.graph.edges:
-        ends = sorted((e.u, e.v), key=ctx.index)
-        items.append((e.id, e.weight, ends))
-    items.sort(key=lambda item: item[0])
-    return items
 
 
 def run_matching(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, CoreStats]:
@@ -30,7 +21,7 @@ def run_matching(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, CoreS
     so a machine can take at most one job on top of its dedicated load.
     """
     t = ctx.t
-    items = _unit_items(ctx)
+    items = ctx.job_items()
     weights = sorted(w for _, w, _ in items)
     if len(weights) >= 2 and weights[0] + weights[1] <= t:
         raise RegimeError(
@@ -67,8 +58,10 @@ def run_matching(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, CoreS
         loads = dict(ctx.dedicated)
         for jid, w, _ in items:
             loads[matched_job[jid]] += w
-        assert max(loads.values(), default=0) <= t
-        return dict(matched_job), CoreStats(makespan=max(loads.values(), default=0))
+        makespan = max(loads.values(), default=0)
+        if makespan > t:
+            raise InvariantViolation(f"matching exceeded t={t} with {makespan}")
+        return dict(matched_job), CoreStats(makespan=makespan)
 
     # Alternating BFS from the unmatched job: every reachable machine is
     # matched, so the reachable jobs outnumber their joint neighborhood.
@@ -82,11 +75,13 @@ def run_matching(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, CoreS
                 continue
             neighborhood.add(v)
             holder = matched_machine.get(v)
-            assert holder is not None, "free machine reachable: matching not maximal"
+            if holder is None:
+                raise InvariantViolation("free machine reachable: matching not maximal")
             if holder not in witness_jobs:
                 witness_jobs.add(holder)
                 frontier.append(holder)
-    assert len(neighborhood) < len(witness_jobs)
+    if len(neighborhood) >= len(witness_jobs):
+        raise InvariantViolation("witness jobs do not outnumber their neighborhood")
     payload = {
         "jobs": sorted(witness_jobs),
         "neighborhood": sorted(neighborhood),

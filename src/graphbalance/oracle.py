@@ -23,7 +23,7 @@ TIME_LIMIT_S = 30.0
 
 def _folded(instance: Instance):
     """Dedicated loads with single-machine jobs folded in, plus the
-    remaining multi-machine jobs sorted by descending weight."""
+    remaining multi-machine jobs in instance order."""
     loads = {m.id: m.dedicated_load for m in instance.machines}
     multi = []
     for job in instance.jobs:
@@ -32,16 +32,29 @@ def _folded(instance: Instance):
             loads[only] += job.weight
         else:
             multi.append(job)
-    multi.sort(key=lambda j: (-j.weight, j.id))
     return loads, multi
 
 
-def _greedy_makespan(instance: Instance) -> int:
+def greedy_makespan(instance: Instance) -> int:
+    """Makespan of placing the multi-machine jobs heaviest first, each on its
+    least-loaded eligible machine: an upper bound on OPT."""
     loads, multi = _folded(instance)
-    for job in multi:
+    for job in sorted(multi, key=lambda j: (-j.weight, j.id)):
         best = min(instance.sorted_eligible(job), key=lambda v: loads[v])
         loads[best] += job.weight
     return max(loads.values(), default=0)
+
+
+def trivial_lower_bound(instance: Instance) -> int:
+    """Largest of the heaviest job, the heaviest folded machine load and the
+    average load per machine, rounded up: a lower bound on OPT."""
+    loads, _ = _folded(instance)
+    machines = max(len(instance.machines), 1)
+    return max(
+        instance.max_weight(),
+        max(loads.values(), default=0),
+        -(-instance.total_weight() // machines),
+    )
 
 
 def feasible_at(instance: Instance, t: int) -> bool:
@@ -53,6 +66,7 @@ def feasible_at(instance: Instance, t: int) -> bool:
         )
     if any(v > t for v in loads.values()):
         return False
+    multi.sort(key=lambda j: (-j.weight, j.id))  # heaviest first prunes soonest
     order = [(job, instance.sorted_eligible(job)) for job in multi]
     deadline = time.monotonic() + TIME_LIMIT_S
     ticks = 0
@@ -88,18 +102,13 @@ def feasible_at(instance: Instance, t: int) -> bool:
 
 def exact_opt(instance: Instance) -> int:
     """Exact minimum makespan, by bisection over ``feasible_at``."""
-    loads, multi = _folded(instance)
+    _, multi = _folded(instance)
     if len(multi) > JOB_BUDGET:
         raise OracleBudgetError(
             f"{len(multi)} multi-machine jobs exceed the oracle budget of {JOB_BUDGET}"
         )
-    hi = _greedy_makespan(instance)
-    m = max(len(instance.machines), 1)
-    lo = max(
-        instance.max_weight(),
-        max(loads.values(), default=0),
-        -(-instance.total_weight() // m),
-    )
+    hi = greedy_makespan(instance)
+    lo = trivial_lower_bound(instance)
     while lo < hi:
         mid = (lo + hi) // 2
         if feasible_at(instance, mid):
@@ -189,22 +198,13 @@ def _edge_graph_at(instance: Instance, t: int, mode: SolveMode, beta):
     return preprocess.EdgeGraph(tuple(instance.machine_ids), tuple(edges))
 
 
-def _base_loads(instance: Instance) -> dict[str, int]:
-    loads = {m.id: m.dedicated_load for m in instance.machines}
-    for j in instance.jobs:
-        if len(j.eligible) == 1:
-            (only,) = j.eligible
-            loads[only] += j.weight
-    return loads
-
-
 def _forced_load_floor(instance, t, mode, beta, subset) -> int | None:
     """Least load the machines in *subset* must absorb in any makespan<=t
     assignment: folded dedicated loads plus the minimum edge-job load any
     valid orientation sends into the subset.  None means no orientation with
     at most one incoming edge per node exists at all."""
     graph = _edge_graph_at(instance, t, mode, beta)
-    base = _base_loads(instance)
+    base, _ = _folded(instance)
     forced = preprocess.min_edge_load_into(graph, set(subset))
     if forced is None:
         return None

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import RegimeError, ValidationError
+from .errors import InvariantViolation, RegimeError, ValidationError
 from .instance import Instance, JobSpec, MachineSpec, SolveMode, format_fraction
 
 DEDICATED_OVERFLOW = "dedicated_overflow"
@@ -100,12 +100,6 @@ class EdgeGraph:
         if self._components is None:
             self._components = self._compute_components()
         return self._components
-
-    def component_of(self, node: str) -> Component:
-        for comp in self.components():
-            if node in comp.nodes:
-                return comp
-        raise KeyError(node)
 
     def _compute_components(self) -> list[Component]:
         seen: set[str] = set()
@@ -217,14 +211,21 @@ def _tree_min_into(nodes, edges, subset) -> int:
     for e in edges:
         adjacency[e.u].append((e, e.v))
         adjacency[e.v].append((e, e.u))
-
-    def visit(v: str, parent_edge: str | None, parent_weight: int):
-        # (cost with the parent edge pointing into v, cost with it pointing away)
-        child_states = []
+    # breadth-first order from nodes[0]: every parent precedes its children
+    parent: dict[str, tuple[str | None, int]] = {nodes[0]: (None, 0)}
+    order = [nodes[0]]
+    for v in order:
         for e, u in adjacency[v]:
-            if e.id == parent_edge:
-                continue
-            child_states.append((e, visit(u, e.id, e.weight)))
+            if e.id != parent[v][0]:
+                parent[u] = (e.id, e.weight)
+                order.append(u)
+    # (cost with the parent edge pointing into v, cost with it pointing away)
+    state: dict[str, tuple[int, int]] = {}
+    for v in reversed(order):
+        parent_edge, parent_weight = parent[v]
+        child_states = [
+            (e, state[u]) for e, u in adjacency[v] if e.id != parent_edge
+        ]
         base = sum(into_child for _, (into_child, _) in child_states)
         with_in = base + (parent_weight if v in subset else 0)
         without_in = base
@@ -233,9 +234,8 @@ def _tree_min_into(nodes, edges, subset) -> int:
             if v in subset:
                 alt += e.weight
             without_in = min(without_in, alt)
-        return with_in, without_in
-
-    return visit(nodes[0], None, 0)[1]
+        state[v] = (with_in, without_in)
+    return state[nodes[0]][1]
 
 
 def min_edge_load_into(graph: EdgeGraph, subset) -> int | None:
@@ -267,6 +267,37 @@ def min_edge_load_into(graph: EdgeGraph, subset) -> int | None:
             total += sum(e.weight for e, head in folds if head in subset)
             total += _cycle_min_into(graph, core_nodes, core_edges, subset)
     return total
+
+
+def orient_components(graph: EdgeGraph, root_of) -> dict[str, str]:
+    """Orient every edge so each node takes at most one incoming edge.
+
+    Trees point away from ``root_of(component)``; cycles follow the rotation
+    of :func:`_cycle_sequence`.  Returns the head machine of each edge job.
+    Only isolated, tree and cycle components are admissible.
+    """
+    head: dict[str, str] = {}
+    for comp in graph.components():
+        if comp.kind == "tree":
+            root = root_of(comp)
+            seen = {root}
+            frontier = [root]
+            while frontier:
+                x = frontier.pop()
+                for e in graph.incident(x):
+                    y = e.other(x)
+                    if y not in seen:
+                        head[e.id] = y
+                        seen.add(y)
+                        frontier.append(y)
+        elif comp.kind == "cycle":
+            for v, e in _cycle_sequence(graph, comp.nodes, comp.edges):
+                head[e.id] = e.other(v)
+        elif comp.kind != "isolated":
+            raise InvariantViolation(
+                f"cannot orient a {comp.kind} component at {comp.nodes[0]}"
+            )
+    return head
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +348,15 @@ class GuessContext:
     def sorted_eligible(self, movable: MovableJob) -> list[str]:
         return sorted(movable.eligible, key=self.instance.machine_index.__getitem__)
 
+    def job_items(self) -> list[tuple[str, int, list[str]]]:
+        """Every remaining multi-machine job as ``(id, weight, eligible)``,
+        eligible machines in instance order, sorted by job id."""
+        items = [(p.id, p.weight, self.sorted_eligible(p)) for p in self.movables]
+        for e in self.graph.edges:
+            items.append((e.id, e.weight, sorted((e.u, e.v), key=self.index)))
+        items.sort(key=lambda item: item[0])
+        return items
+
     def synthetic_ids(self) -> set[str]:
         return {tw.movable_id for tw in self.twins if tw.movable_id is not None}
 
@@ -354,14 +394,26 @@ class GuessContext:
         return Instance(machines, tuple(jobs), hint)
 
     def mode_payload(self) -> dict:
-        payload: dict = {"mode": self.mode.value}
-        if self.beta is not None:
-            payload["beta"] = format_fraction(self.beta)
-        if self.heavy_weight is not None:
-            payload["W"] = self.heavy_weight
-        if self.light_weight is not None:
-            payload["w"] = self.light_weight
-        return payload
+        return _mode_payload(
+            self.mode, self.beta, self.heavy_weight, self.light_weight
+        )
+
+
+def _mode_payload(
+    mode: SolveMode,
+    beta: Fraction | None,
+    heavy_weight: int | None,
+    light_weight: int | None,
+) -> dict:
+    """The solve parameters a verifier needs to rebuild the guess's graph."""
+    payload: dict = {"mode": mode.value}
+    if beta is not None:
+        payload["beta"] = format_fraction(beta)
+    if heavy_weight is not None:
+        payload["W"] = heavy_weight
+    if light_weight is not None:
+        payload["w"] = light_weight
+    return payload
 
 
 def classify_jobs(
@@ -446,14 +498,7 @@ def reduce_instance(
                 {"op": "fold_single", "job": job.id, "machine": only, "weight": job.weight}
             )
 
-    def mode_payload() -> dict:
-        payload: dict = {"mode": mode.value}
-        if beta is not None:
-            payload["beta"] = format_fraction(beta)
-        if heavy_weight is not None:
-            payload["W"] = heavy_weight
-            payload["w"] = light_weight
-        return payload
+    mode_fields = _mode_payload(mode, beta, heavy_weight, light_weight)
 
     def overflow() -> Declaration | None:
         for v in instance.machine_ids:
@@ -462,7 +507,7 @@ def reduce_instance(
                 return Declaration(
                     t,
                     DEDICATED_OVERFLOW,
-                    {"machine": v, "dedicated": dedicated[v], **mode_payload()},
+                    {"machine": v, "dedicated": dedicated[v], **mode_fields},
                 )
         return None
 
@@ -490,7 +535,7 @@ def reduce_instance(
                     {
                         "nodes": list(comp.nodes),
                         "edges": [e.id for e in comp.edges],
-                        **mode_payload(),
+                        **mode_fields,
                     },
                 )
             if comp.kind == "one_cycle":
@@ -525,7 +570,10 @@ def reduce_instance(
         ):
             if len(bucket) < 2:
                 continue
-            assert len(bucket) == 2, "3+ parallel edges imply a multi-cycle component"
+            if len(bucket) != 2:
+                raise InvariantViolation(
+                    "3+ parallel edges imply a multi-cycle component"
+                )
             first, second = sorted(bucket, key=lambda e: (-e.weight, e.id))
             u, v = sorted(pair, key=graph.order)
             dedicated[u] += second.weight
@@ -558,9 +606,14 @@ def reduce_instance(
 
     graph = EdgeGraph(tuple(instance.machine_ids), tuple(edge_jobs))
     for comp in graph.components():
-        assert comp.kind in ("isolated", "tree", "cycle")
-        assert comp.kind != "cycle" or len(comp.nodes) >= 3
-    assert all(len(p.eligible) >= 2 for p in movables)
+        if comp.kind not in ("isolated", "tree", "cycle") or (
+            comp.kind == "cycle" and len(comp.nodes) < 3
+        ):
+            raise InvariantViolation(
+                f"reduced graph kept a {comp.kind} component on {list(comp.nodes)}"
+            )
+    if any(len(p.eligible) < 2 for p in movables):
+        raise InvariantViolation("a reduced movable has fewer than two machines")
 
     return GuessContext(
         instance=instance,

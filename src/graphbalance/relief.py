@@ -19,20 +19,12 @@ from .preprocess import Declaration, GuessContext, PREFLOW_HEIGHT
 from .push import CoreStats
 
 
-def _items(ctx: GuessContext):
-    out = [(p.id, p.weight, ctx.sorted_eligible(p)) for p in ctx.movables]
-    for e in ctx.graph.edges:
-        out.append((e.id, e.weight, sorted((e.u, e.v), key=ctx.index)))
-    out.sort(key=lambda item: item[0])
-    return out
-
-
 def run_relief(
     ctx: GuessContext, trace: list | None = None
 ) -> tuple[dict[str, str] | Declaration, CoreStats]:
     t = ctx.t
     machines = ctx.machine_ids
-    items = _items(ctx)
+    items = ctx.job_items()
     stats = CoreStats()
     if not items:
         assert max(ctx.dedicated.values(), default=0) <= t

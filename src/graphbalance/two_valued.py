@@ -21,7 +21,7 @@ from .preprocess import (
     Component,
     Declaration,
     GuessContext,
-    _cycle_sequence,
+    orient_components,
 )
 from .push import (
     CoreStats,
@@ -232,35 +232,18 @@ def _orient_and_assign(state: TwoValuedState) -> dict[str, str]:
     job: trees rooted at their tight node (if any), cycles rotated from the
     lowest-index node."""
     ctx = state.ctx
-    assignment = dict(state.placement)
+
+    def root_of(comp: Component) -> str:
+        tight = [
+            v for v in comp.nodes if classify_node(v, state) >= NodeClass.TIGHT
+        ]
+        return tight[0] if tight else min(comp.nodes, key=ctx.index)
+
+    heads = orient_components(ctx.graph, root_of)
+    assignment = {**state.placement, **heads}
     incoming = {v: 0 for v in ctx.machine_ids}
-    for comp in state.components:
-        if comp.kind == "isolated":
-            continue
-        if comp.kind == "tree":
-            tight = [
-                v for v in comp.nodes
-                if classify_node(v, state) >= NodeClass.TIGHT
-            ]
-            root = tight[0] if tight else min(comp.nodes, key=ctx.index)
-            seen = {root}
-            frontier = [root]
-            while frontier:
-                x = frontier.pop()
-                for e in ctx.graph.incident(x):
-                    if e.id in assignment:
-                        continue
-                    head = e.other(x)
-                    if head in seen:
-                        continue
-                    assignment[e.id] = head
-                    incoming[head] += 1
-                    seen.add(head)
-                    frontier.append(head)
-        else:
-            for v, e in _cycle_sequence(ctx.graph, comp.nodes, comp.edges):
-                assignment[e.id] = e.other(v)
-                incoming[e.other(v)] += 1
+    for head in heads.values():
+        incoming[head] += 1
     bound = state.thresholds.makespan_bound
     edge_weights = {e.id: e.weight for e in ctx.graph.edges}
     final = dict(ctx.dedicated)

@@ -156,6 +156,8 @@ class TestGenerators:
             generate_two_valued(4, 1, 1, 5, 5, 2, seed=0)
         with pytest.raises(ValueError):
             generate_two_valued(1, 1, 1, 5, 2, 2, seed=0)
+        with pytest.raises(ValueError):
+            generate_two_valued(6, 0, 4, 10, 3, 6, seed=0)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_two_valued_always_validates(self, seed):

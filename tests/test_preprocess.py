@@ -13,6 +13,7 @@ from graphbalance import (
     SolveMode,
     classify_jobs,
     feasible_at,
+    generate_adversarial_path,
     min_edge_load_into,
     reduce_instance,
 )
@@ -243,6 +244,14 @@ class TestMinEdgeLoad:
             ),
         )
         assert min_edge_load_into(g, {"a"}) is None
+
+    def test_long_tree_needs_no_recursion(self):
+        inst = generate_adversarial_path(1000, 100)
+        ctx = reduce_instance(inst, 100, SolveMode.GENERAL, Fraction(7, 10))
+        assert [c.kind for c in ctx.graph.components()] == ["tree"]
+        assert min_edge_load_into(ctx.graph, {"p1000"}) == 0
+        every_edge = sum(e.weight for e in ctx.graph.edges)
+        assert min_edge_load_into(ctx.graph, set(ctx.graph.nodes)) == every_edge
 
     @pytest.mark.parametrize("seed", range(250))
     def test_matches_exhaustive_enumeration(self, seed):
