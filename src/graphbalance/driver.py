@@ -70,7 +70,7 @@ def _dispatch(ctx: GuessContext, trace):
     if not ctx.movables and not ctx.graph.edges:
         return run_two_valued(ctx, trace=trace)
     if heavy is not None and ctx.t >= 2 * heavy:
-        return run_relief(ctx, trace=trace)
+        return run_relief(ctx)
     if light is not None and ctx.t < 2 * light:
         return run_matching(ctx)
     variant = "improved" if heavy is not None and heavy >= 2 * light else "standard"

@@ -1,15 +1,14 @@
-"""Relief core: preflow-push redistribution with a t+W-1 makespan target.
+"""Relief core: max-flow, then rounding within t + W - 1, or a max-flow cut
+certificate.
 
 Used by the two-valued driver once the guess is at least twice the heavy
-weight (then no edge jobs remain), and usable as a generic fallback for any
-reduced context.  Starting from the lowest-indexed eligible machine for every
-job, overloaded machines (load > t+W-1 where W is the largest remaining job
-weight) push single jobs downhill in a height labeling, relabeling when
-stuck.  A machine climbing to twice the machine count triggers the
-infeasibility path: preferably a height-gap cut, otherwise an exact max-flow
-recount that either yields a sound cut certificate or proves the guess
-fractionally feasible, in which case the flow is rounded into an assignment
-within the same makespan target.
+weight (then no edge jobs remain), and usable for any reduced context.  An
+integral max-flow decides whether the jobs fit fractionally within t on top of
+the dedicated loads (Lenstra, Shmoys & Tardos, Math. Prog. 1990).  If they do
+not, the machines on the source side of the minimum cut hold captive jobs
+that overfill them, which is the declaration.  If they do, the flow is
+rounded into an assignment that exceeds t by at most W - 1, where W is the
+largest remaining job weight.
 """
 
 from __future__ import annotations
@@ -19,149 +18,43 @@ from .preprocess import Declaration, GuessContext, PREFLOW_HEIGHT
 from .push import CoreStats
 
 
-def run_relief(
-    ctx: GuessContext, trace: list | None = None
-) -> tuple[dict[str, str] | Declaration, CoreStats]:
+def run_relief(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, CoreStats]:
     t = ctx.t
-    machines = ctx.machine_ids
     items = ctx.job_items()
     stats = CoreStats()
     if not items:
-        assert max(ctx.dedicated.values(), default=0) <= t
-        stats.makespan = max(ctx.dedicated.values(), default=0)
-        return {}, stats
-
-    w_top = max(w for _, w, _ in items)
-    cap = t + w_top - 1
-    eligible = {jid: elig for jid, _, elig in items}
-    weight = {jid: w for jid, w, _ in items}
-
-    assignment = {jid: elig[0] for jid, _, elig in items}
-    loads = dict(ctx.dedicated)
-    on_machine: dict[str, list[str]] = {v: [] for v in machines}
-    for jid, _, elig in items:
-        loads[elig[0]] += weight[jid]
-        on_machine[elig[0]].append(jid)
-
-    height = {v: 0 for v in machines}
-    height_cap = 2 * len(machines)
-    budget = 4 * len(machines) ** 2 * len(items)
-    ops = 0
-
-    def overloaded() -> list[str]:
-        return [v for v in machines if loads[v] > cap]
-
-    stuck = False
-    while True:
-        heavy_machines = overloaded()
-        if not heavy_machines:
-            break
-        v = max(heavy_machines, key=lambda x: (height[x], -ctx.index(x)))
-        move = None
-        for jid in sorted(on_machine[v]):
-            for u in eligible[jid]:
-                if height[u] < height[v] and loads[u] + weight[jid] <= cap:
-                    move = (jid, u)
-                    break
-            if move:
-                break
-        ops += 1
-        if ops > budget:
-            raise InvariantViolation(
-                f"relief core exceeded its operation budget of {budget}"
-            )
-        if move:
-            jid, u = move
-            on_machine[v].remove(jid)
-            on_machine[u].append(jid)
-            loads[v] -= weight[jid]
-            loads[u] += weight[jid]
-            assignment[jid] = u
-            stats.pushes += 1
-            if trace is not None:
-                trace.append({"event": "push", "job": jid, "from": v, "to": u})
-        else:
-            height[v] += 1
-            if trace is not None:
-                trace.append({"event": "relabel", "machine": v, "height": height[v]})
-            if height[v] >= height_cap:
-                stuck = True
-                break
-
-    if not stuck:
-        makespan = max(loads.values(), default=0)
-        assert makespan <= cap
+        makespan = max(ctx.dedicated.values(), default=0)
+        if makespan > t:
+            raise InvariantViolation(f"dedicated load {makespan} exceeds t={t}")
         stats.makespan = makespan
-        return assignment, stats
-
-    cut = _height_gap_cut(ctx, t, height, on_machine, eligible, loads, height_cap)
-    if cut is not None:
-        stats.declared = True
-        return (
-            Declaration(
-                t,
-                PREFLOW_HEIGHT,
-                {
-                    "cut": cut[0],
-                    "captive_jobs": cut[1],
-                    "heights": dict(height),
-                    **ctx.mode_payload(),
-                },
-            ),
-            stats,
-        )
+        return {}, stats
 
     feasible, result = _flow_check(ctx, t, items)
     if not feasible:
         cut_machines, captive = result
         stats.declared = True
-        return (
-            Declaration(
-                t,
-                PREFLOW_HEIGHT,
-                {
-                    "cut": cut_machines,
-                    "captive_jobs": captive,
-                    "heights": dict(height),
-                    **ctx.mode_payload(),
-                },
-            ),
-            stats,
-        )
+        payload = {
+            "cut": cut_machines,
+            "captive_jobs": captive,
+            **ctx.mode_payload(),
+        }
+        return Declaration(t, PREFLOW_HEIGHT, payload), stats
+
     assignment = _round_flow(ctx, t, items, result)
+    weight = {jid: w for jid, w, _ in items}
     loads = dict(ctx.dedicated)
     for jid, v in assignment.items():
         loads[v] += weight[jid]
     makespan = max(loads.values(), default=0)
-    assert makespan <= cap
+    cap = t + max(weight.values()) - 1
+    if makespan > cap:
+        raise InvariantViolation(f"rounded flow reached {makespan} above {cap}")
     stats.makespan = makespan
     return assignment, stats
 
 
-def _height_gap_cut(ctx, t, height, on_machine, eligible, loads, height_cap):
-    """Try every empty height level as a cut threshold, highest first.
-
-    A valid cut S must trap its jobs (eligibility stays inside S) and carry
-    total load above |S|*t; both are rechecked here before use.
-    """
-    occupied = set(height.values())
-    for gap in range(height_cap - 1, 0, -1):
-        if gap in occupied:
-            continue
-        cut = [v for v in ctx.machine_ids if height[v] > gap]
-        if not cut:
-            continue
-        cut_set = set(cut)
-        captive = sorted(jid for v in cut for jid in on_machine[v])
-        if any(not set(eligible[jid]) <= cut_set for jid in captive):
-            continue
-        if sum(loads[v] for v in cut) > len(cut) * t:
-            return cut, captive
-    return None
-
-
 # ---------------------------------------------------------------------------
-# Exact fractional recount (max-flow) and rounding
+# Exact fractional check (max-flow) and rounding
 # ---------------------------------------------------------------------------
 
 
@@ -188,27 +81,42 @@ class _Dinic:
             if level[tt] < 0:
                 return flow
             it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == tt:
-                    return pushed
-                while it[u] < len(self.adj[u]):
-                    arc = self.adj[u][it[u]]
-                    v, cap_arc, rev = arc
-                    if cap_arc > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, cap_arc))
-                        if got:
-                            arc[1] -= got
-                            self.adj[v][rev][1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
             while True:
-                got = dfs(s, 1 << 62)
+                got = self._augment(s, tt, level, it)
                 if not got:
                     break
                 flow += got
+
+    def _augment(self, s: int, tt: int, level: list[int], it: list[int]) -> int:
+        """Push the bottleneck along one s-tt path of the level graph.
+
+        Depth-first with an explicit stack; ``it`` keeps each node's current
+        arc across calls, and a dead end advances its parent's arc.
+        """
+        nodes = [s]
+        arcs: list[list[int]] = []
+        while nodes:
+            u = nodes[-1]
+            if u == tt:
+                got = min(arc[1] for arc in arcs)
+                for arc in arcs:
+                    arc[1] -= got
+                    self.adj[arc[0]][arc[2]][1] += got
+                return got
+            adj = self.adj[u]
+            while it[u] < len(adj):
+                arc = adj[it[u]]
+                if arc[1] > 0 and level[arc[0]] == level[u] + 1:
+                    nodes.append(arc[0])
+                    arcs.append(arc)
+                    break
+                it[u] += 1
+            else:
+                nodes.pop()
+                if arcs:
+                    arcs.pop()
+                    it[nodes[-1]] += 1
+        return 0
 
     def reachable(self, s: int) -> set[int]:
         seen = {s}
@@ -355,12 +263,16 @@ def _round_flow(ctx: GuessContext, t: int, items, units) -> dict[str, str]:
             head += 1
             if node[0] == "j":
                 children = [c for c in adjacency[node] if c != parent_node]
-                assert children, "split job with no child machine in support forest"
+                if not children:
+                    raise InvariantViolation(
+                        "split job with no child machine in support forest"
+                    )
                 assignment[node[1]] = min(children, key=lambda c: ctx.index(c[1]))[1]
             for nxt in adjacency[node]:
                 if nxt not in visited:
                     visited.add(nxt)
                     order.append((nxt, node))
 
-    assert set(assignment) == {jid for jid, _, _ in items}
+    if set(assignment) != {jid for jid, _, _ in items}:
+        raise InvariantViolation("rounding left a job unassigned")
     return assignment

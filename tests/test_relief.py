@@ -1,6 +1,7 @@
-"""Relief core: target bound, certificates, and the flow fallback."""
+"""Relief core: target bound, certificates, and long augmenting paths."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -59,6 +60,21 @@ def test_declaration_has_sound_cut():
     folded = sum(ctx.dedicated[v] for v in cut)
     assert folded + total > len(cut) * t
     assert verify_certificate(inst, result) == "confirmed"
+
+
+@pytest.mark.parametrize("m", [301, 601])
+def test_long_chain_needs_no_recursion(m):
+    # the jobs fill every machine exactly, so one augmenting path shifts a job
+    # along the whole chain, deeper than the interpreter's recursion limit
+    machines = [(f"m{i}", 10) for i in range(m)]
+    jobs = [(f"a{i}", 10, [f"m{i}", f"m{i + 1}"]) for i in range(m - 1)]
+    jobs.append(("z", 10, ["m0", "m1"]))
+    inst = build(machines, jobs)
+    ctx = reduce_instance(inst, 20, SolveMode.GENERAL, Fraction(7, 10))
+    result, stats = run_relief(ctx)
+    valid, makespan = verify_solution(inst, ctx.expand(result))
+    # every capacity is a multiple of 10, so no job is split by the flow
+    assert valid and makespan == stats.makespan == 20
 
 
 @pytest.mark.parametrize("seed", range(150))
