@@ -21,9 +21,9 @@ t = 100
 context = reduce_instance(instance, t, SolveMode.GENERAL, BETA)
 thresholds = ThresholdsG.make(t, BETA)
 print(f"\nguess t = {t}, beta = {BETA}")
-print(f"overload bound  (5/3 + b/3)t = {thresholds.overload_bound}")
-print(f"push ceiling  (5/3 - 2b/3)t  = {thresholds.push_bound}")
-print(f"light-edge bound (2/3 + b/3)t = {thresholds.rule2_bound}")
+print(f"overload bound    floor((5/3 + b/3)t)  = {thresholds.overload_bound}")
+print(f"push ceiling      floor((5/3 - 2b/3)t) = {thresholds.push_bound}")
+print(f"light-edge bound  ceil((2/3 + b/3)t)   = {thresholds.rule2_bound}")
 
 orientation = Orientation(context.graph)
 loads = movable_loads(context, initial_placement(context))

@@ -111,7 +111,9 @@ def solve(
         if isinstance(reduced, Declaration):
             declarations.append(reduced)
             if trace is not None:
-                trace.extend({"t": t, "stage": "reduce", **ev} for ev in reduced.payload.get("log", []))
+                trace.append(
+                    {"t": t, "stage": "reduce", "op": "declare", "kind": reduced.kind}
+                )
                 trace.append({"t": t, "stage": "search", "outcome": "declared"})
             return None
         if trace is not None:

@@ -13,8 +13,10 @@ witness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import InvariantViolation, RegimeError
 from .preprocess import (
@@ -40,16 +42,23 @@ from .push import (
 
 @dataclass(frozen=True)
 class ThresholdsG:
-    overload_bound: Fraction   # exclusive: more than this is overloaded
-    push_bound: Fraction       # inclusive ceiling for push targets
-    rule2_bound: Fraction      # exclusive: lighter edges spread activation
+    """The three bounds, rounded to integers.
+
+    Loads and weights are integers, so ``x > b`` holds iff ``x > floor(b)``
+    and ``x < b`` iff ``x < ceil(b)``: each exact rational bound is rounded
+    toward the side its comparison excludes, and every test stays exact.
+    """
+
+    overload_bound: int   # floor((5/3 + beta/3) t); more than this is overloaded
+    push_bound: int       # floor((5/3 - 2 beta/3) t); inclusive push ceiling
+    rule2_bound: int      # ceil((2/3 + beta/3) t); lighter edges spread activation
 
     @staticmethod
     def make(t: int, beta: Fraction) -> "ThresholdsG":
         return ThresholdsG(
-            (Fraction(5, 3) + beta / 3) * t,
-            (Fraction(5, 3) - 2 * beta / 3) * t,
-            (Fraction(2, 3) + beta / 3) * t,
+            math.floor((Fraction(5, 3) + beta / 3) * t),
+            math.floor((Fraction(5, 3) - 2 * beta / 3) * t),
+            math.ceil((Fraction(2, 3) + beta / 3) * t),
         )
 
 
@@ -111,39 +120,49 @@ def forced_orientations(
     current load, that edge is directed away, and the propagation continues
     from the freshly marked heads.  Ties follow the (source id, target id)
     order, so the procedure is deterministic and idempotent.
-    """
 
-    def candidates(restrict: set[str] | None):
+    Loads only rise, and only at the head of a freshly directed edge, so a
+    violation appears only when a head is loaded and disappears only when its
+    edge is directed.  One scan seeds a heap of ``(source, target, edge id)``
+    violators; each direction rescans just the new head, feeding both that
+    heap and the one of the current cascade's marked set; a popped entry is
+    stale exactly when its edge is no longer neutral.
+    """
+    bound = th.overload_bound
+    head, in_load = orient.head, orient.in_load
+    edge_of: dict[str, EdgeJob] = {}
+
+    def violations(v: str) -> list[tuple[str, str, str]]:
+        room = bound - ctx.dedicated[v] - ml[v] - in_load[v]
         found = []
-        for e in ctx.graph.edges:
-            if not orient.neutral(e):
-                continue
-            for v, u in ((e.u, e.v), (e.v, e.u)):
-                if restrict is not None and v not in restrict:
-                    continue
-                if ctx.dedicated[v] + ml[v] + orient.in_load[v] + e.weight > th.overload_bound:
-                    found.append((v, u, e))
-        found.sort(key=lambda c: (c[0], c[1]))
+        for e in ctx.graph.incident(v):
+            if e.weight > room and head[e.id] is None:
+                edge_of[e.id] = e
+                found.append((v, e.other(v), e.id))
         return found
 
-    while True:
-        outer = candidates(None)
-        if not outer:
-            return
-        v, u, e = outer[0]
+    def pop(heap):
+        while heap:
+            v, u, eid = heappop(heap)
+            if head[eid] is None:
+                return v, u, edge_of[eid]
+        return None
+
+    def direct(v: str, u: str, e: EdgeJob, marked: list) -> None:
         orient.direct(e, u)
         if trace is not None:
             trace.append({"event": "forced", "edge": e.id, "from": v, "to": u})
-        marked = {u}
-        while True:
-            inner = candidates(marked)
-            if not inner:
-                break
-            v2, u2, e2 = inner[0]
-            orient.direct(e2, u2)
-            marked.add(u2)
-            if trace is not None:
-                trace.append({"event": "forced", "edge": e2.id, "from": v2, "to": u2})
+        for item in violations(u):
+            heappush(pending, item)
+            heappush(marked, item)
+
+    pending = [item for v in ctx.graph.nodes for item in violations(v)]
+    heapify(pending)
+    while (hit := pop(pending)) is not None:
+        marked: list[tuple[str, str, str]] = []
+        direct(*hit, marked)
+        while (hit := pop(marked)) is not None:
+            direct(*hit, marked)
 
 
 @dataclass
@@ -151,6 +170,8 @@ class ExploreResult:
     orientation: Orientation
     levels: dict[str, int]
     conflict: set[str]
+    movable_load: dict[str, int]    # per machine, under explore's placement
+    at: dict[str, list]             # movables per machine, sorted by id
     round_activated: list[list[str]] = field(default_factory=list)
     round_conflict: list[set[str]] = field(default_factory=list)
 
@@ -179,8 +200,8 @@ def explore(
 
     levels: dict[str, int] = {}
     conflict: set[str] = set()
-    result = ExploreResult(orient, levels, conflict)
     at = movables_by_machine(ctx, placement)
+    result = ExploreResult(orient, levels, conflict, ml, at)
 
     def guard_overload() -> None:
         now = _overloaded(ctx, orient, ml, th)
@@ -195,14 +216,11 @@ def explore(
         if round_no == 0:
             batch = sorted(overloaded0, key=ctx.index)
         else:
-            previous = result.round_activated[round_no - 1]
             reachable: set[str] = set()
-            for u in previous:
+            for u in result.round_activated[round_no - 1]:
                 for p in at[u]:
-                    reachable.update(
-                        x for x in p.eligible if x != u and x not in levels
-                    )
-            batch = sorted(reachable, key=ctx.index)
+                    reachable |= p.eligible
+            batch = sorted(reachable - levels.keys(), key=ctx.index)
         if not batch:
             break
         for v in batch:
@@ -292,35 +310,47 @@ def find_push_general(
     result: ExploreResult,
     th: ThresholdsG,
 ) -> PushMove | None:
-    """Any movable one level up whose target stays safely below the push
-    ceiling, both on current load and against every father edge unless the
-    target is a conflict-set leaf.  Ties break lexicographically."""
-    ml = movable_loads(ctx, placement)
-    at = movables_by_machine(ctx, placement)
+    """The lexicographically least ``(source, movable, target)`` push: a
+    movable one level up whose target stays safely below the push ceiling,
+    both on current load and against every father edge unless the target is
+    a conflict-set leaf.
+
+    *result* must come from ``explore`` on *placement*; its loads and
+    per-machine movable lists are reused.  Sources and movables are walked in
+    id order, so the first hit is the least, and the target test, which
+    depends on the target alone, runs at most once per machine.
+    """
     orient = result.orientation
-    best = None
-    for u, lvl in result.levels.items():
-        for p in at[u]:
-            for v in ctx.sorted_eligible(p):
-                if v == u or result.levels.get(v) != lvl + 1:
-                    continue
-                if ctx.dedicated[v] + ml[v] + orient.in_load[v] > th.push_bound:
-                    continue
-                children = [c for c, x in orient.children(v) if x in result.conflict]
-                if children:
-                    fathers = [e for e, x in orient.fathers(v) if x in result.conflict]
-                    if any(
-                        ctx.dedicated[v] + ml[v] + e.weight > th.push_bound
-                        for e in fathers
-                    ):
-                        continue
-                key = (u, p.id, v)
-                if best is None or key < best:
-                    best = key
-    if best is None:
-        return None
-    u, pid, v = best
-    return PushMove(pid, u, v)
+    ml = result.movable_load
+    bound = th.push_bound
+    by_level: dict[int, set[str]] = {}
+    for v, lvl in result.levels.items():
+        by_level.setdefault(lvl, set()).add(v)
+    verdict: dict[str, bool] = {}
+
+    def accepts(v: str) -> bool:
+        base = ctx.dedicated[v] + ml[v]
+        if base + orient.in_load[v] > bound:
+            return False
+        if any(x in result.conflict for _, x in orient.children(v)):
+            return not any(
+                base + e.weight > bound
+                for e, x in orient.fathers(v)
+                if x in result.conflict
+            )
+        return True
+
+    for u in sorted(result.levels):
+        up = by_level.get(result.levels[u] + 1)
+        if not up:
+            continue
+        for p in result.at[u]:
+            for v in sorted(p.eligible & up):
+                if v not in verdict:
+                    verdict[v] = accepts(v)
+                if verdict[v]:
+                    return PushMove(p.id, u, v)
+    return None
 
 
 def _complete_orientation(ctx: GuessContext, orient: Orientation):
@@ -407,7 +437,7 @@ def _finish(ctx, result, th, placement) -> dict[str, str]:
         if head is None:
             raise InvariantViolation(f"edge {e.id} left neutral")
         assignment[e.id] = head
-    ml = movable_loads(ctx, placement)
+    ml = result.movable_load
     for v in ctx.machine_ids:
         load = ctx.dedicated[v] + ml[v] + result.orientation.in_load[v]
         if load > th.overload_bound:
@@ -427,7 +457,7 @@ def _makespan(ctx, assignment) -> int:
 
 
 def _declaration(ctx, placement, result) -> Declaration:
-    ml = movable_loads(ctx, placement)
+    ml = result.movable_load
     activated = sorted(result.levels, key=ctx.index)
     forced = min_edge_load_into(ctx.graph, set(activated))
     payload = {

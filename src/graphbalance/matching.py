@@ -36,21 +36,37 @@ def run_matching(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, CoreS
     matched_job: dict[str, str] = {}
     matched_machine: dict[str, str] = {}
 
-    def augment(jid: str, seen: set[str]) -> bool:
-        for v in fits[jid]:
-            if v in seen:
+    def augment(root: str) -> bool:
+        """Depth-first alternating-path search from *root* on an explicit
+        stack, trying each job's fitting machines in order and each machine
+        at most once, as the recursive search would."""
+        seen: set[str] = set()
+        stack = [(root, iter(fits[root]))]
+        chosen: list[str] = []  # chosen[i]: the machine stack[i] is trying
+        while stack:
+            for v in stack[-1][1]:
+                if v not in seen:
+                    break
+            else:
+                stack.pop()
+                if chosen:
+                    chosen.pop()
                 continue
             seen.add(v)
+            chosen.append(v)
             holder = matched_machine.get(v)
-            if holder is None or augment(holder, seen):
-                matched_job[jid] = v
-                matched_machine[v] = jid
-                return True
+            if holder is not None:
+                stack.append((holder, iter(fits[holder])))
+                continue
+            for (jid, _), machine in zip(reversed(stack), reversed(chosen)):
+                matched_job[jid] = machine
+                matched_machine[machine] = jid
+            return True
         return False
 
     unmatched = None
     for jid, _, _ in items:
-        if not augment(jid, set()):
+        if not augment(jid):
             unmatched = jid
             break
 

@@ -198,17 +198,25 @@ def _edge_graph_at(instance: Instance, t: int, mode: SolveMode, beta):
     return preprocess.EdgeGraph(tuple(instance.machine_ids), tuple(edges))
 
 
-def _forced_load_floor(instance, t, mode, beta, subset) -> int | None:
-    """Least load the machines in *subset* must absorb in any makespan<=t
-    assignment: folded dedicated loads plus the minimum edge-job load any
-    valid orientation sends into the subset.  None means no orientation with
-    at most one incoming edge per node exists at all."""
+def _load_floors(instance, t, mode, beta):
+    """``floor(subset)``: the least load the machines in *subset* must absorb
+    in any makespan<=t assignment, that is, folded dedicated loads plus the
+    minimum edge-job load any valid orientation sends into the subset.  None
+    means no orientation with at most one incoming edge per node exists at
+    all.  The raw edge graph and the folded loads are built once, and each
+    subset's floor is computed once."""
     graph = _edge_graph_at(instance, t, mode, beta)
     base, _ = _folded(instance)
-    forced = preprocess.min_edge_load_into(graph, set(subset))
-    if forced is None:
-        return None
-    return sum(base[v] for v in subset) + forced
+    memo: dict[frozenset, int | None] = {}
+
+    def floor(subset) -> int | None:
+        key = frozenset(subset)
+        if key not in memo:
+            forced = preprocess.min_edge_load_into(graph, set(key))
+            memo[key] = None if forced is None else sum(base[v] for v in key) + forced
+        return memo[key]
+
+    return floor
 
 
 def verify_certificate(
@@ -232,7 +240,7 @@ def verify_certificate(
         if machine not in instance.machine_index:
             raise MalformedDeclaration(f"unknown machine {machine!r}")
         mode, beta = _payload_mode(payload)
-        floor = _forced_load_floor(instance, t, mode, beta, [machine])
+        floor = _load_floors(instance, t, mode, beta)([machine])
         if floor is None or floor > t:
             return CONFIRMED
         return REFUTED
@@ -276,10 +284,11 @@ def verify_certificate(
         weights = sorted(j.weight for j in witness)
         if len(weights) >= 2 and weights[0] + weights[1] <= t:
             return REFUTED  # two witness jobs could share a machine
+        floors = _load_floors(instance, t, mode, beta)
         neighborhood = set()
         for j in witness:
             for v in j.eligible:
-                floor = _forced_load_floor(instance, t, mode, beta, [v])
+                floor = floors([v])
                 if floor is not None and floor + j.weight <= t:
                     neighborhood.add(v)
         if len(neighborhood) < len(witness):
@@ -309,7 +318,7 @@ def verify_certificate(
             if not job.eligible <= cut_set:
                 return REFUTED  # not captive: eligibility escapes the cut
             total += job.weight
-        floor = _forced_load_floor(instance, t, mode, beta, sorted(cut_set))
+        floor = _load_floors(instance, t, mode, beta)(cut_set)
         if floor is None or floor + total > len(cut_set) * t:
             return CONFIRMED
         return REFUTED

@@ -132,6 +132,15 @@ def test_unparseable_instance_is_input_error(tmp_path):
     assert run(["solve", str(broken)]) == 1
 
 
+def test_unexpected_exception_is_internal_error(instance_file, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("graphbalance.cli.solve", broken)
+    assert run(["solve", str(instance_file)]) == 2
+    assert "internal error: RecursionError" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_input_error(instance_file):
     with pytest.raises(SystemExit) as err:
         run(["solve", str(instance_file), "--frobnicate"])

@@ -133,6 +133,20 @@ class TestSearchBookkeeping:
         total = sum(j.weight for j in inst.jobs)
         assert sol.cores_invoked <= math.ceil(math.log2(max(total, 2))) + 2
 
+    def test_trace_records_a_declaring_reduction(self):
+        # the first guess is 13; folding the parallel pair puts 15 on a
+        inst = build(
+            [("a", 5), ("b", 0)],
+            [("h1", 10, ["a", "b"]), ("h2", 10, ["a", "b"])],
+        )
+        trace = []
+        sol = solve(inst, SolveMode.GENERAL, Fraction(7, 10), trace=trace)
+        assert sol.declarations[0].t == 13
+        assert trace[:2] == [
+            {"t": 13, "stage": "reduce", "op": "declare", "kind": "dedicated_overflow"},
+            {"t": 13, "stage": "search", "outcome": "declared"},
+        ]
+
     def test_makespan_within_bound_times_t_star(self):
         for seed in range(40):
             inst, _, _ = loaded_two_valued(seed)

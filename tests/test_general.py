@@ -1,7 +1,10 @@
 """General core: forced orientations, exploration, activation, pushes."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +13,9 @@ from graphbalance import (
     SolveMode,
     feasible_at,
     generate_adversarial_path,
+    generate_general,
     reduce_instance,
+    solve,
     verify_certificate,
     verify_solution,
 )
@@ -22,17 +27,99 @@ from graphbalance.general import (
     forced_orientations,
     run_general,
 )
-from graphbalance.push import initial_placement, movable_loads
+from graphbalance.push import (
+    PushMove,
+    initial_placement,
+    movable_loads,
+    movables_by_machine,
+)
 
 from conftest import build, loaded_general
 
 BETA = Fraction(7, 10)
+BETAS = (Fraction(4, 7), Fraction(2, 3), Fraction(7, 10), Fraction(9, 10))
 
 
 def general_ctx(machines, jobs, t, beta=BETA):
     ctx = reduce_instance(build(machines, jobs), t, SolveMode.GENERAL, beta)
     assert not isinstance(ctx, Declaration)
     return ctx
+
+
+def exact_thresholds(t, beta):
+    """The three bounds as exact rationals, unrounded."""
+    return SimpleNamespace(
+        overload_bound=(Fraction(5, 3) + beta / 3) * t,
+        push_bound=(Fraction(5, 3) - 2 * beta / 3) * t,
+        rule2_bound=(Fraction(2, 3) + beta / 3) * t,
+    )
+
+
+def rescanning_forced(ctx, orient, ml, th, trace=None):
+    """Reference cascade: rescan every edge for each forced step."""
+
+    def candidates(restrict):
+        found = []
+        for e in ctx.graph.edges:
+            if not orient.neutral(e):
+                continue
+            for v, u in ((e.u, e.v), (e.v, e.u)):
+                if restrict is not None and v not in restrict:
+                    continue
+                if ctx.dedicated[v] + ml[v] + orient.in_load[v] + e.weight > th.overload_bound:
+                    found.append((v, u, e))
+        found.sort(key=lambda c: (c[0], c[1]))
+        return found
+
+    while True:
+        outer = candidates(None)
+        if not outer:
+            return
+        v, u, e = outer[0]
+        orient.direct(e, u)
+        if trace is not None:
+            trace.append({"event": "forced", "edge": e.id, "from": v, "to": u})
+        marked = {u}
+        while True:
+            inner = candidates(marked)
+            if not inner:
+                break
+            v2, u2, e2 = inner[0]
+            orient.direct(e2, u2)
+            marked.add(u2)
+            if trace is not None:
+                trace.append({"event": "forced", "edge": e2.id, "from": v2, "to": u2})
+
+
+def rescanning_find_push(ctx, placement, result, th):
+    """Reference push search: test every (source, movable, target) triple
+    against loads rebuilt from *placement*, keep the least key."""
+    ml = movable_loads(ctx, placement)
+    at = movables_by_machine(ctx, placement)
+    orient = result.orientation
+    best = None
+    for u, lvl in result.levels.items():
+        for p in at[u]:
+            for v in ctx.sorted_eligible(p):
+                if v == u or result.levels.get(v) != lvl + 1:
+                    continue
+                if ctx.dedicated[v] + ml[v] + orient.in_load[v] > th.push_bound:
+                    continue
+                children = [c for c, x in orient.children(v) if x in result.conflict]
+                if children:
+                    fathers = [e for e, x in orient.fathers(v) if x in result.conflict]
+                    if any(
+                        ctx.dedicated[v] + ml[v] + e.weight > th.push_bound
+                        for e in fathers
+                    ):
+                        continue
+                key = (u, p.id, v)
+                if best is None or key < best:
+                    best = key
+    if best is None:
+        return None
+    u, pid, v = best
+    return PushMove(pid, u, v)
 
 
 class TestThresholds:
@@ -47,6 +134,20 @@ class TestThresholds:
         th = ThresholdsG.make(300, BETA)
         assert th.push_bound == Fraction(360)
         assert Fraction(360) <= th.push_bound < Fraction(361)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_integer_bounds_compare_like_exact_ones(self, beta):
+        for t in range(1, 121):
+            th = ThresholdsG.make(t, beta)
+            exact = exact_thresholds(t, beta)
+            assert all(
+                isinstance(b, int)
+                for b in (th.overload_bound, th.push_bound, th.rule2_bound)
+            )
+            for load in range(3 * t + 1):
+                assert (load > th.overload_bound) == (load > exact.overload_bound)
+                assert (load > th.push_bound) == (load > exact.push_bound)
+                assert (load < th.rule2_bound) == (load < exact.rule2_bound)
 
 
 class TestForcedOrientations:
@@ -86,6 +187,123 @@ class TestForcedOrientations:
         snapshot = dict(orient.head)
         forced_orientations(ctx, orient, ml, th)
         assert orient.head == snapshot
+
+
+def seeded_contexts():
+    """200 small loaded contexts, then larger generated ones and random edge
+    trees under heavy dedicated loads, each with its own seeded stream."""
+    found = 0
+    seed = 0
+    while found < 200:
+        rng = random.Random(seed)
+        beta = BETAS[seed % 4]
+        inst = loaded_general(seed, beta)
+        seed += 1
+        t = inst.max_weight() + rng.randint(0, 6)
+        ctx = reduce_instance(inst, t, SolveMode.GENERAL, beta)
+        if isinstance(ctx, Declaration):
+            continue
+        found += 1
+        yield ctx, beta, rng
+    for seed in range(40):
+        rng = random.Random(10_000 + seed)
+        beta = BETAS[seed % 4]
+        m = rng.randint(6, 24)
+        inst = generate_general(m, rng.randint(2 * m, 5 * m), beta, 100, seed)
+        t = inst.max_weight() + rng.randint(0, 100)
+        ctx = reduce_instance(inst, t, SolveMode.GENERAL, beta)
+        if not isinstance(ctx, Declaration):
+            yield ctx, beta, rng
+    for seed in range(60):
+        # a random tree of edge jobs under heavy dedicated loads: long cascades
+        rng = random.Random(20_000 + seed)
+        beta = BETAS[seed % 4]
+        m = rng.randint(4, 30)
+        ids = [f"m{x}" for x in rng.sample(range(100), m)]
+        machines = [(v, rng.choice((0, rng.randint(0, 100)))) for v in ids]
+        jobs = [
+            (f"e{i}", rng.randint(int(beta * 100) + 1, 100), [ids[i], ids[rng.randrange(i)]])
+            for i in range(1, m)
+        ]
+        jobs += [
+            (f"l{i}", rng.randint(1, int(beta * 100)), rng.sample(ids, 2))
+            for i in range(rng.randint(0, m))
+        ]
+        ctx = reduce_instance(build(machines, jobs), 100, SolveMode.GENERAL, beta)
+        if not isinstance(ctx, Declaration):
+            yield ctx, beta, rng
+
+
+class TestAgainstRescanningReference:
+    """The heap-driven cascade and the early-exit push search on integer
+    bounds agree with the whole-graph rescans on exact rational bounds."""
+
+    def test_forced_cascade_after_random_fake_orientations(self):
+        contexts = cascades = 0
+        for ctx, beta, rng in seeded_contexts():
+            contexts += 1
+            placement = {p.id: rng.choice(ctx.sorted_eligible(p)) for p in ctx.movables}
+            ml = movable_loads(ctx, placement)
+            fast, slow = Orientation(ctx.graph), Orientation(ctx.graph)
+            for e in ctx.graph.edges:
+                if rng.random() < 0.5:
+                    head = rng.choice((e.u, e.v))
+                    fast.direct(e, head)
+                    slow.direct(e, head)
+            fast_trace, slow_trace = [], []
+            forced_orientations(ctx, fast, ml, ThresholdsG.make(ctx.t, beta), fast_trace)
+            rescanning_forced(ctx, slow, ml, exact_thresholds(ctx.t, beta), slow_trace)
+            assert fast.head == slow.head
+            assert fast.in_load == slow.in_load
+            assert fast_trace == slow_trace
+            cascades += bool(slow_trace)
+        assert contexts >= 280 and cascades >= 70
+
+    def test_push_search_after_random_fake_orientations(self):
+        contexts = pushes = 0
+        for ctx, beta, rng in seeded_contexts():
+            contexts += 1
+            placement = {p.id: rng.choice(ctx.sorted_eligible(p)) for p in ctx.movables}
+            result = explore(
+                ctx,
+                dict(placement),
+                ThresholdsG.make(ctx.t, beta),
+                fake_picker=lambda candidates: rng.choice(candidates),
+            )
+            move = find_push_general(ctx, placement, result, ThresholdsG.make(ctx.t, beta))
+            assert move == rescanning_find_push(
+                ctx, placement, result, exact_thresholds(ctx.t, beta)
+            )
+            pushes += move is not None
+        assert contexts >= 280 and pushes >= 60
+
+
+# sha256 over solve(...).to_json() of golden_corpus(), as computed by the
+# whole-graph rescanning core on exact rational bounds
+GOLDEN_SHA256 = "9fe5a1d20533dc00e90172863288ae786a4c824a1b216112806b932e06c97b52"
+
+
+def golden_corpus():
+    for seed in range(120):
+        yield loaded_general(seed, BETAS[seed % 4]), BETAS[seed % 4]
+    for seed in range(24):
+        m = (6, 10, 16, 24, 32, 40)[seed % 6]
+        beta = BETAS[seed % 4]
+        yield generate_general(m, 3 * m + seed % 3 * m, beta, 100 + 37 * seed, seed), beta
+
+
+def test_golden_general_corpus():
+    digest = hashlib.sha256()
+    for inst, beta in golden_corpus():
+        solution = solve(inst, SolveMode.GENERAL, beta)
+        digest.update(json.dumps(solution.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_long_adversarial_path_solves_at_the_closed_form():
+    # OPT = scale // 4 + edge weight = 25 + 96 at scale 100
+    solution = solve(generate_adversarial_path(10_000, 100), SolveMode.GENERAL, BETA)
+    assert solution.makespan == 121
 
 
 class TestExplore:

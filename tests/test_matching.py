@@ -24,6 +24,19 @@ def reduced(machines, jobs, t):
     return ctx
 
 
+def test_long_chain_needs_no_recursion():
+    # heavy jobs on consecutive machine pairs, one light job on the first
+    # pair whose id sorts last: its augmenting path runs the whole chain
+    ids = [f"c{i:05d}" for i in range(1500)]
+    jobs = [(f"h{i:05d}", 10, [ids[i], ids[i + 1]]) for i in range(1499)]
+    jobs.append(("l0", 6, [ids[0], ids[1]]))
+    ctx = reduced([(v, 0) for v in ids], jobs, t=10)
+    result, stats = run_matching(ctx)
+    assert not isinstance(result, Declaration)
+    assert stats.makespan == 10
+    assert sorted(result.values()) == ids
+
+
 def test_two_jobs_two_machines():
     ctx = reduced(
         [("a", 0), ("b", 0)],
