@@ -8,7 +8,8 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from pathlib import Path
 
 from . import oracle
@@ -153,7 +154,9 @@ def _cmd_bench(args) -> int:
     if not paths:
         raise ParseError(f"no *.json instances under {args.dir}")
     if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        # solves are pure Python, so only separate processes run them at once
+        workers = min(args.jobs, len(paths))
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
             rows = list(pool.map(_bench_one, paths))
     else:
         rows = [_bench_one(p) for p in paths]

@@ -25,6 +25,9 @@ class ValidationError(GraphBalanceError):
         super().__init__("; ".join(violations))
         self.violations = list(violations)
 
+    def __reduce__(self):  # rebuilt from the list, e.g. in a bench worker
+        return type(self), (self.violations,)
+
 
 class RegimeError(GraphBalanceError):
     """A core was invoked outside the guess range it is specified for."""

@@ -394,9 +394,9 @@ def run_general(
         if trace is not None:
             for event in trace[mark:]:
                 event.setdefault("iteration", iteration)
+        potential = potential_value(ctx, result.at, result.levels)
         if prev_levels is not None:
             check_levels_monotone(prev_levels, result.levels, ctx.machine_ids)
-            potential = potential_value(ctx, placement, result.levels)
             if potential >= prev_potential:
                 raise InvariantViolation(
                     f"potential did not drop: {prev_potential} -> {potential}"
@@ -413,10 +413,8 @@ def run_general(
         stats.pushes += 1
         check_push_budget(ctx, stats.pushes)
         prev_levels = result.levels
-        prev_potential = potential_value(
-            ctx, {**placement, move.movable_id: move.source}, result.levels
-        )
-        stats.potentials.append(prev_potential)
+        prev_potential = potential
+        stats.potentials.append(potential)
         if trace is not None:
             trace.append(
                 {

@@ -55,13 +55,11 @@ def movables_by_machine(ctx: GuessContext, placement: dict[str, str]):
 
 
 def potential_value(
-    ctx: GuessContext, placement: dict[str, str], levels: dict[str, int]
+    ctx: GuessContext, at: dict[str, list], levels: dict[str, int]
 ) -> int:
-    counts: dict[str, int] = {}
-    for pid, v in placement.items():
-        counts[v] = counts.get(v, 0) + 1
+    """The potential of *levels* with the movables per machine in *at*."""
     n = len(ctx.machine_ids)
-    return sum((n - lvl) * counts.get(v, 0) for v, lvl in levels.items())
+    return sum((n - lvl) * len(at[v]) for v, lvl in levels.items())
 
 
 def check_levels_monotone(

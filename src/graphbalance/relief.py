@@ -191,42 +191,50 @@ def _round_flow(ctx: GuessContext, t: int, items, units) -> dict[str, str]:
             assignment[jid] = v
             del split[jid]
 
-    def find_cycle():
-        # prune to the 2-core of the bipartite support graph, then walk it
-        adjacency: dict[tuple, set[tuple]] = {}
-        for jid, shares in split.items():
-            for v in shares:
-                adjacency.setdefault(("j", jid), set()).add(("m", v))
-                adjacency.setdefault(("m", v), set()).add(("j", jid))
-        queue = [nd for nd, nbrs in adjacency.items() if len(nbrs) <= 1]
+    # The 2-core of the bipartite support graph, kept up to date: cancelling
+    # a cycle only deletes edges, and the 2-core of a subgraph is the 2-core
+    # of the old 2-core minus the deleted edges, so only their endpoints
+    # need re-pruning.
+    core: dict[tuple, set[tuple]] = {}
+    for jid, shares in split.items():
+        for v in shares:
+            core.setdefault(("j", jid), set()).add(("m", v))
+            core.setdefault(("m", v), set()).add(("j", jid))
+
+    def prune(queue: list[tuple]) -> None:
         while queue:
             nd = queue.pop()
-            if nd not in adjacency:
+            if nd not in core or len(core[nd]) > 1:
                 continue
-            for nb in adjacency.pop(nd):
-                adjacency[nb].discard(nd)
-                if len(adjacency[nb]) == 1:
-                    queue.append(nb)
-        adjacency = {nd: nbrs for nd, nbrs in adjacency.items() if nbrs}
-        if not adjacency:
+            for nb in core.pop(nd):
+                core[nb].discard(nd)
+                queue.append(nb)
+
+    def drop(jid: str, v: str) -> None:
+        job, machine = ("j", jid), ("m", v)
+        if job in core and machine in core[job]:
+            core[job].discard(machine)
+            core[machine].discard(job)
+            prune([job, machine])
+
+    def find_cycle():
+        if not core:
             return None
-        start = min(adjacency, key=str)
+        start = min(core, key=str)
         walk = [start]
         position = {start: 0}
         prev = None
         while True:
             cur = walk[-1]
-            nxt = min((nb for nb in adjacency[cur] if nb != prev), key=str)
+            nxt = min((nb for nb in core[cur] if nb != prev), key=str)
             if nxt in position:
                 return walk[position[nxt]:]
             position[nxt] = len(walk)
             walk.append(nxt)
             prev = cur
 
-    while True:
-        cycle = find_cycle()
-        if cycle is None:
-            break
+    prune(list(core))
+    while (cycle := find_cycle()) is not None:
         pairs = []
         for i, node in enumerate(cycle):
             nxt = cycle[(i + 1) % len(cycle)]
@@ -238,11 +246,12 @@ def _round_flow(ctx: GuessContext, t: int, items, units) -> dict[str, str]:
             split[j][m] += -delta if minus else delta
             if split[j][m] == 0:
                 del split[j][m]
-        for jid, shares in list(split.items()):
-            if len(shares) == 1:
-                (v,) = shares
+                drop(j, m)
+        for jid in {j for (j, _), _ in pairs}:
+            if len(split[jid]) == 1:
+                (v,) = split.pop(jid)
                 assignment[jid] = v
-                del split[jid]
+                drop(jid, v)
 
     # Forest: root every component at a machine; each split job then has at
     # least one child machine holding >= 1 unit of it.

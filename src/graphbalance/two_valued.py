@@ -11,9 +11,10 @@ edge per node) or no push applies (declaration that the guess is too low).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import IntEnum
-from fractions import Fraction
+from operator import attrgetter
 
 from .errors import InvariantViolation, RegimeError, StaleMoveError
 from .preprocess import (
@@ -34,6 +35,8 @@ from .push import (
     potential_value,
 )
 
+_by_id = attrgetter("id")
+
 
 class NodeClass(IntEnum):
     SAFE = 0      # can absorb an edge job plus one movable
@@ -44,31 +47,40 @@ class NodeClass(IntEnum):
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Exact load thresholds for one guess.
+    """Load thresholds for one guess, rounded to integers.
 
     ``standard`` targets 1.5*t; ``improved`` (valid when the heavy weight is
-    at least twice the light one) targets t + floor(heavy/2).
+    at least twice the light one) targets t + floor(heavy/2).  Loads and
+    weights are integers, so ``x > r`` iff ``x > floor(r)`` and ``x <= r``
+    iff ``x <= floor(r)``: flooring the exact target keeps every test exact.
     """
 
-    safe_max: Fraction
-    tight_floor: Fraction      # exclusive
-    overfull_floor: Fraction   # exclusive
-    makespan_bound: Fraction
+    safe_max: int
+    tight_floor: int      # exclusive
+    overfull_floor: int   # exclusive
+    makespan_bound: int
     variant: str
 
     @staticmethod
     def standard(t: int, heavy: int, light: int) -> "Thresholds":
-        base = Fraction(3 * t, 2)
+        base = 3 * t // 2
         return Thresholds(base - heavy - light, base - heavy, base, base, "standard")
 
     @staticmethod
     def improved(t: int, heavy: int, light: int) -> "Thresholds":
-        base = Fraction(t + heavy // 2)
+        base = t + heavy // 2
         return Thresholds(base - heavy - light, base - heavy, base, base, "improved")
 
 
 class TwoValuedState:
-    """Mutable solve state: placement, loads, level labels."""
+    """Mutable solve state: placement, loads, level labels, and what the
+    labeling reads from them.
+
+    ``at`` lists each machine's movables by id, ``classes`` holds every
+    machine's class, ``hot[i]`` the tight-or-worse machines of component
+    ``i`` and ``stuck[i]`` its status.  ``move`` keeps all of them current,
+    so nothing is rebuilt between pushes.
+    """
 
     def __init__(self, ctx: GuessContext, thresholds: Thresholds,
                  placement: dict[str, str] | None = None):
@@ -76,17 +88,51 @@ class TwoValuedState:
         self.thresholds = thresholds
         self.placement = dict(placement) if placement else initial_placement(ctx)
         self.loads = movable_loads(ctx, self.placement)
-        self.weights = {p.id: p.weight for p in ctx.movables}
-        self.eligible = {p.id: ctx.sorted_eligible(p) for p in ctx.movables}
+        self.at = movables_by_machine(ctx, self.placement)
+        self.movable = {p.id: p for p in ctx.movables}
         self.components = ctx.graph.components()
-        self.component_of = {
-            v: comp for comp in self.components for v in comp.nodes
+        self.comp_index = {
+            v: i for i, comp in enumerate(self.components) for v in comp.nodes
         }
+        self.component_of = {
+            v: self.components[i] for v, i in self.comp_index.items()
+        }
+        self.classes = {v: classify_node(v, self) for v in ctx.machine_ids}
+        self.hot = [
+            {v for v in comp.nodes if self.classes[v] >= NodeClass.TIGHT}
+            for comp in self.components
+        ]
+        self.stuck = [self._stuck_at(i) for i in range(len(self.components))]
         self.levels: dict[str, int] = {}
         self.push_count = 0
 
     def total(self, v: str) -> int:
         return self.ctx.dedicated[v] + self.loads[v]
+
+    def _stuck_at(self, i: int) -> bool:
+        return _stuck(self.components[i].kind, [self.classes[v] for v in self.hot[i]])
+
+    def move(self, pid: str, target: str) -> None:
+        """Place movable *pid* on *target*; reclassify only the two machines
+        it touches and re-derive only their components' status."""
+        p = self.movable[pid]
+        source = self.placement[pid]
+        self.placement[pid] = target
+        self.loads[source] -= p.weight
+        self.loads[target] += p.weight
+        bucket = self.at[source]
+        del bucket[bisect_left(bucket, pid, key=_by_id)]
+        insort(self.at[target], p, key=_by_id)
+        for v in (source, target):
+            c = classify_node(v, self)
+            self.classes[v] = c
+            hot = self.hot[self.comp_index[v]]
+            if c >= NodeClass.TIGHT:
+                hot.add(v)
+            else:
+                hot.discard(v)
+        for i in {self.comp_index[source], self.comp_index[target]}:
+            self.stuck[i] = self._stuck_at(i)
 
 
 def classify_node(v: str, state: TwoValuedState, extra: int = 0) -> NodeClass:
@@ -101,107 +147,113 @@ def classify_node(v: str, state: TwoValuedState, extra: int = 0) -> NodeClass:
     return NodeClass.MIDDLE
 
 
-def component_is_stuck(
-    comp: Component, state: TwoValuedState, override: dict[str, NodeClass] | None = None
-) -> bool:
+def _stuck(kind: str, hot: list[NodeClass]) -> bool:
     """A component is stuck when no orientation can keep it within bound:
-    any overfull node, two tight nodes in a tree, or one in a cycle."""
-    classes = {
-        v: (override or {}).get(v) or classify_node(v, state) for v in comp.nodes
-    }
-    if any(c == NodeClass.OVERFULL for c in classes.values()):
+    any overfull node, two tight nodes in a tree, or one in a cycle.  *hot*
+    holds the classes of its tight-or-worse nodes."""
+    if NodeClass.OVERFULL in hot:
         return True
-    tight = sum(1 for c in classes.values() if c >= NodeClass.TIGHT)
-    if comp.kind == "tree":
-        return tight >= 2
-    if comp.kind == "cycle":
-        return tight >= 1
+    if kind == "tree":
+        return len(hot) >= 2
+    if kind == "cycle":
+        return len(hot) >= 1
     return False
+
+
+def component_is_stuck(comp: Component, classes: dict[str, NodeClass]) -> bool:
+    """Whether *comp* is stuck under the node classes in *classes*."""
+    return _stuck(
+        comp.kind, [c for c in map(classes.__getitem__, comp.nodes) if c >= NodeClass.TIGHT]
+    )
 
 
 def label_levels(state: TwoValuedState) -> None:
     """Label machines with the round at which pushes may reach them.
 
     Level 0: tight-or-worse nodes of stuck components.  Each later round adds
-    every machine reachable by a movable from the labeled set, plus the tight
-    node of any clear tree that round touched.  Unlabeled means unreachable.
+    every machine reachable by a movable from the previous round's machines,
+    plus the tight node of any clear tree that round touched.  Unlabeled
+    means unreachable.  Earlier rounds reach nothing new, since all they
+    reach was labeled in the round after them.
     """
     ctx = state.ctx
-    classes = {v: classify_node(v, state) for v in ctx.machine_ids}
-    stuck = {id(comp): component_is_stuck(comp, state) for comp in state.components}
-    levels = {
-        v: 0
-        for v in ctx.machine_ids
-        if classes[v] >= NodeClass.TIGHT and stuck[id(state.component_of[v])]
-    }
-    labeled = set(levels)
-    at = movables_by_machine(ctx, state.placement)
+    frontier = sorted(
+        (
+            v
+            for i, stuck in enumerate(state.stuck)
+            if stuck
+            for v in state.hot[i]
+        ),
+        key=ctx.index,
+    )
+    levels = dict.fromkeys(frontier, 0)
     level = 0
     while True:
         level += 1
         reachable: set[str] = set()
-        for u in labeled:
-            for p in at[u]:
-                reachable.update(x for x in p.eligible if x not in labeled)
-        batch = sorted(reachable, key=ctx.index)
-        if not batch:
+        for u in frontier:
+            for p in state.at[u]:
+                reachable |= p.eligible
+        reachable.difference_update(levels)
+        if not reachable:
             break
-        pulled = []
-        batch_comps = {id(state.component_of[v]) for v in batch}
-        for v in ctx.machine_ids:
-            comp = state.component_of[v]
-            if (
-                v not in labeled
-                and v not in reachable
-                and classes[v] >= NodeClass.TIGHT
-                and not stuck[id(comp)]
-                and id(comp) in batch_comps
-            ):
-                pulled.append(v)
-        for v in batch + pulled:
+        pulled = [
+            v
+            for i in {state.comp_index[v] for v in reachable}
+            if not state.stuck[i]
+            for v in state.hot[i]
+            if v not in levels and v not in reachable
+        ]
+        frontier = sorted(reachable, key=ctx.index) + sorted(pulled, key=ctx.index)
+        for v in frontier:
             levels[v] = level
-            labeled.add(v)
     state.levels = levels
 
 
 def _target_accepts(state: TwoValuedState, v: str) -> bool:
     # a push target must be safe, or sit in a clear component that stays
     # clear after gaining one light movable
-    if classify_node(v, state) == NodeClass.SAFE:
+    if state.classes[v] == NodeClass.SAFE:
         return True
-    comp = state.component_of[v]
-    if component_is_stuck(comp, state):
+    i = state.comp_index[v]
+    if state.stuck[i]:
         return False
-    light = state.ctx.light_weight or 0
-    bumped = {v: classify_node(v, state, extra=light)}
-    return not component_is_stuck(comp, state, override=bumped)
+    bumped = classify_node(v, state, extra=state.ctx.light_weight or 0)
+    hot = [state.classes[x] for x in state.hot[i] if x != v]
+    if bumped >= NodeClass.TIGHT:
+        hot.append(bumped)
+    return not _stuck(state.components[i].kind, hot)
 
 
 def find_push(state: TwoValuedState) -> PushMove | None:
-    """Lowest-level source wins; ties break on (source, movable, target) ids."""
-    at = movables_by_machine(state.ctx, state.placement)
-    best = None
-    for u, lvl in state.levels.items():
-        if best is not None and lvl > best[0]:
-            continue
-        for p in at[u]:
-            for v in state.eligible[p.id]:
-                if v == u or state.levels.get(v) != lvl + 1:
+    """The least ``(level, source, movable, target)`` push.
+
+    Sources are walked by (level, id) and their movables by id, so the first
+    movable with an accepting target one level up wins, with its least
+    target; each target is tested at most once per call.
+    """
+    levels = state.levels
+    verdict: dict[str, bool] = {}
+    for u in sorted(levels, key=lambda x: (levels[x], x)):
+        up = levels[u] + 1
+        for p in state.at[u]:
+            hits = []
+            for v in p.eligible:
+                if levels.get(v) != up:
                     continue
-                if not _target_accepts(state, v):
-                    continue
-                key = (lvl, u, p.id, v)
-                if best is None or key < best:
-                    best = key
-    if best is None:
-        return None
-    _, u, pid, v = best
-    return PushMove(pid, u, v)
+                if v not in verdict:
+                    verdict[v] = _target_accepts(state, v)
+                if verdict[v]:
+                    hits.append(v)
+            if hits:
+                return PushMove(p.id, u, min(hits))
+    return None
 
 
-def apply_push(state: TwoValuedState, move: PushMove) -> None:
+def apply_push(state: TwoValuedState, move: PushMove) -> int:
     """Relocate the movable and relabel; levels may only rise and the
-    potential must strictly drop, else the state is corrupted."""
+    potential must strictly drop, else the state is corrupted.  Returns the
+    potential before the push."""
     if state.placement.get(move.movable_id) != move.source:
         raise StaleMoveError(f"{move.movable_id} is no longer at {move.source}")
     if (
@@ -210,21 +262,19 @@ def apply_push(state: TwoValuedState, move: PushMove) -> None:
         or not _target_accepts(state, move.target)
     ):
         raise StaleMoveError(f"push {move} no longer satisfies its conditions")
-    old_levels = dict(state.levels)
-    old_potential = potential_value(state.ctx, state.placement, state.levels)
-    w = state.weights[move.movable_id]
-    state.placement[move.movable_id] = move.target
-    state.loads[move.source] -= w
-    state.loads[move.target] += w
+    old_levels = state.levels
+    old_potential = potential_value(state.ctx, state.at, old_levels)
+    state.move(move.movable_id, move.target)
     label_levels(state)
     check_levels_monotone(old_levels, state.levels, state.ctx.machine_ids)
-    new_potential = potential_value(state.ctx, state.placement, state.levels)
+    new_potential = potential_value(state.ctx, state.at, state.levels)
     if new_potential >= old_potential:
         raise InvariantViolation(
             f"potential did not drop: {old_potential} -> {new_potential}"
         )
     state.push_count += 1
     check_push_budget(state.ctx, state.push_count)
+    return old_potential
 
 
 def _orient_and_assign(state: TwoValuedState) -> dict[str, str]:
@@ -234,9 +284,7 @@ def _orient_and_assign(state: TwoValuedState) -> dict[str, str]:
     ctx = state.ctx
 
     def root_of(comp: Component) -> str:
-        tight = [
-            v for v in comp.nodes if classify_node(v, state) >= NodeClass.TIGHT
-        ]
+        tight = [v for v in comp.nodes if state.classes[v] >= NodeClass.TIGHT]
         return tight[0] if tight else min(comp.nodes, key=ctx.index)
 
     heads = orient_components(ctx.graph, root_of)
@@ -245,10 +293,11 @@ def _orient_and_assign(state: TwoValuedState) -> dict[str, str]:
     for head in heads.values():
         incoming[head] += 1
     bound = state.thresholds.makespan_bound
-    edge_weights = {e.id: e.weight for e in ctx.graph.edges}
+    weight = {e.id: e.weight for e in ctx.graph.edges}
+    weight.update((pid, p.weight) for pid, p in state.movable.items())
     final = dict(ctx.dedicated)
     for job, v in assignment.items():
-        final[v] += state.weights.get(job) or edge_weights[job]
+        final[v] += weight[job]
     for v in ctx.machine_ids:
         if incoming[v] > 1 or final[v] > bound:
             raise InvariantViolation(
@@ -268,12 +317,8 @@ def _declaration(state: TwoValuedState) -> Declaration:
         "pl": {v: state.loads[v] for v in ctx.machine_ids},
         "dedicated": dict(ctx.dedicated),
         "components": [
-            {
-                "nodes": list(comp.nodes),
-                "kind": comp.kind,
-                "stuck": component_is_stuck(comp, state),
-            }
-            for comp in state.components
+            {"nodes": list(comp.nodes), "kind": comp.kind, "stuck": stuck}
+            for comp, stuck in zip(state.components, state.stuck)
         ],
     }
     return Declaration(ctx.t, ACTIVATED_SET, payload)
@@ -305,10 +350,10 @@ def run_two_valued(
         raise ValueError(f"unknown variant {variant!r}")
 
     state = TwoValuedState(ctx, thresholds)
+    label_levels(state)
     rounds = 0
     while True:
-        label_levels(state)
-        if not any(component_is_stuck(c, state) for c in state.components):
+        if not any(state.stuck):
             assignment = _orient_and_assign(state)
             stats.pushes = state.push_count
             return assignment, stats
@@ -317,10 +362,8 @@ def run_two_valued(
             stats.pushes = state.push_count
             stats.declared = True
             return _declaration(state), stats
-        potential_before = potential_value(ctx, state.placement, state.levels)
-        apply_push(state, move)
+        stats.potentials.append(apply_push(state, move))
         rounds += 1
-        stats.potentials.append(potential_before)
         if trace is not None:
             trace.append(
                 {
@@ -329,6 +372,6 @@ def run_two_valued(
                     "movable": move.movable_id,
                     "from": move.source,
                     "to": move.target,
-                    "potential": potential_value(ctx, state.placement, state.levels),
+                    "potential": potential_value(ctx, state.at, state.levels),
                 }
             )

@@ -196,13 +196,26 @@ class TestBench:
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
         assert run(["bench", "--dir", str(corpus), "--jobs", "1", "--out", str(serial)]) == 0
-        assert run(["bench", "--dir", str(corpus), "--jobs", "8", "--out", str(parallel)]) == 0
 
         def strip_ms(path):
             rows = list(csv.DictReader(path.read_text().splitlines()))
             return [{k: v for k, v in row.items() if k != "ms"} for row in rows]
 
-        assert strip_ms(serial) == strip_ms(parallel)
+        # 2 workers, then more workers asked for than there are instances
+        for jobs in ("2", "8"):
+            assert run(["bench", "--dir", str(corpus), "--jobs", jobs, "--out", str(parallel)]) == 0
+            assert strip_ms(serial) == strip_ms(parallel)
+
+    def test_parallel_input_error_matches_serial(self, tmp_path, corpus, capsys):
+        # a heavy job on three machines fits no mode: the worker's
+        # ValidationError must reach the user as the serial run reports it
+        bad = build([("a", 0), ("b", 0), ("c", 0)], [("j", 5, ["a", "b", "c"]), ("k", 9, ["a", "b", "c"])])
+        (corpus / "zz.json").write_text(serialize_instance(bad))
+        messages = []
+        for jobs in ("1", "2"):
+            assert run(["bench", "--dir", str(corpus), "--jobs", jobs]) == 1
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1] and messages[0].startswith("error: ")
 
     def test_empty_corpus_is_input_error(self, tmp_path):
         empty = tmp_path / "empty"

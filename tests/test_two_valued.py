@@ -1,7 +1,11 @@
 """Two-weight core: classification, labeling, pushes, and full runs."""
 
+import hashlib
+import json
+import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,11 +14,18 @@ from graphbalance import (
     SolveMode,
     StaleMoveError,
     feasible_at,
+    generate_two_valued,
     reduce_instance,
+    solve,
     validate,
     verify_solution,
 )
-from graphbalance.push import PushMove, potential_value
+from graphbalance.push import (
+    PushMove,
+    movable_loads,
+    movables_by_machine,
+    potential_value,
+)
 from graphbalance.two_valued import (
     NodeClass,
     Thresholds,
@@ -28,6 +39,110 @@ from graphbalance.two_valued import (
 )
 
 from conftest import build, loaded_two_valued
+
+
+def exact_thresholds(t, heavy, light, variant):
+    """The thresholds as exact rationals, unrounded."""
+    base = Fraction(3 * t, 2) if variant == "standard" else Fraction(t + heavy // 2)
+    return SimpleNamespace(
+        safe_max=base - heavy - light, tight_floor=base - heavy, overfull_floor=base
+    )
+
+
+def exact_class(total, th):
+    if total > th.overfull_floor:
+        return NodeClass.OVERFULL
+    if total > th.tight_floor:
+        return NodeClass.TIGHT
+    if total <= th.safe_max:
+        return NodeClass.SAFE
+    return NodeClass.MIDDLE
+
+
+def rescanning_classes(state, th, extra=None):
+    """Every machine's class from loads rebuilt out of the placement."""
+    loads = movable_loads(state.ctx, state.placement)
+    classes = {
+        v: exact_class(state.ctx.dedicated[v] + loads[v], th)
+        for v in state.ctx.machine_ids
+    }
+    if extra is not None:
+        v, weight = extra
+        classes[v] = exact_class(state.ctx.dedicated[v] + loads[v] + weight, th)
+    return classes
+
+
+def rescanning_stuck(comp, classes):
+    if any(classes[v] == NodeClass.OVERFULL for v in comp.nodes):
+        return True
+    tight = sum(1 for v in comp.nodes if classes[v] >= NodeClass.TIGHT)
+    if comp.kind == "tree":
+        return tight >= 2
+    if comp.kind == "cycle":
+        return tight >= 1
+    return False
+
+
+def rescanning_label_levels(state, th):
+    """Reference labeling: classify every machine and expand every labeled
+    machine in every round, scanning all machines for pulled tight nodes."""
+    ctx = state.ctx
+    classes = rescanning_classes(state, th)
+    stuck = {id(comp): rescanning_stuck(comp, classes) for comp in state.components}
+    levels = {
+        v: 0
+        for v in ctx.machine_ids
+        if classes[v] >= NodeClass.TIGHT and stuck[id(state.component_of[v])]
+    }
+    labeled = set(levels)
+    at = movables_by_machine(ctx, state.placement)
+    level = 0
+    while True:
+        level += 1
+        reachable = set()
+        for u in labeled:
+            for p in at[u]:
+                reachable.update(x for x in p.eligible if x not in labeled)
+        batch = sorted(reachable, key=ctx.index)
+        if not batch:
+            break
+        batch_comps = {id(state.component_of[v]) for v in batch}
+        pulled = [
+            v
+            for v in ctx.machine_ids
+            if v not in labeled
+            and v not in reachable
+            and classes[v] >= NodeClass.TIGHT
+            and not stuck[id(state.component_of[v])]
+            and id(state.component_of[v]) in batch_comps
+        ]
+        for v in batch + pulled:
+            levels[v] = level
+            labeled.add(v)
+    return levels
+
+
+def rescanning_accepts(state, th, v):
+    classes = rescanning_classes(state, th)
+    if classes[v] == NodeClass.SAFE:
+        return True
+    comp = state.component_of[v]
+    if rescanning_stuck(comp, classes):
+        return False
+    bumped = rescanning_classes(state, th, extra=(v, state.ctx.light_weight))
+    return not rescanning_stuck(comp, bumped)
+
+
+def rescanning_pushes(state, levels, th):
+    """Every valid push as ``(level, source, movable, target)``."""
+    at = movables_by_machine(state.ctx, state.placement)
+    return sorted(
+        (lvl, u, p.id, v)
+        for u, lvl in levels.items()
+        for p in at[u]
+        for v in state.ctx.sorted_eligible(p)
+        if v != u and levels.get(v) == lvl + 1 and rescanning_accepts(state, th, v)
+    )
 
 
 def make_state(machines, jobs, t, placement=None, variant="standard"):
@@ -83,7 +198,7 @@ class TestComponentStatus:
         )
         comp = state.component_of["a"]
         assert comp.kind == "isolated"
-        assert component_is_stuck(comp, state)
+        assert component_is_stuck(comp, state.classes)
 
     def test_tree_with_one_tight_is_clear(self):
         state = make_state(
@@ -95,7 +210,7 @@ class TestComponentStatus:
         comp = state.component_of["a"]
         assert comp.kind == "tree"
         assert classify_node("a", state) == NodeClass.TIGHT
-        assert not component_is_stuck(comp, state)
+        assert not component_is_stuck(comp, state.classes)
 
     def test_cycle_with_one_tight_is_stuck(self):
         state = make_state(
@@ -112,7 +227,7 @@ class TestComponentStatus:
         comp = state.component_of["a"]
         assert comp.kind == "cycle"
         assert classify_node("a", state) == NodeClass.TIGHT
-        assert component_is_stuck(comp, state)
+        assert component_is_stuck(comp, state.classes)
 
 
 def overfull_isolated_state():
@@ -213,9 +328,9 @@ class TestPush:
         state = overfull_isolated_state()
         label_levels(state)
         before_levels = dict(state.levels)
-        before_potential = potential_value(state.ctx, state.placement, state.levels)
+        before_potential = potential_value(state.ctx, state.at, state.levels)
         apply_push(state, find_push(state))
-        after_potential = potential_value(state.ctx, state.placement, state.levels)
+        after_potential = potential_value(state.ctx, state.at, state.levels)
         assert after_potential < before_potential
         for v, lvl in before_levels.items():
             assert state.levels.get(v, 10 ** 9) >= lvl
@@ -280,3 +395,128 @@ class TestRunCore:
                 assert all(
                     a > b for a, b in zip(stats.potentials, stats.potentials[1:])
                 )
+
+
+class TestIntegerThresholds:
+    PAIRS = ((3, 1), (7, 3), (10, 4), (13, 6))
+
+    @pytest.mark.parametrize("variant", ("standard", "improved"))
+    def test_integer_bounds_classify_like_exact_ones(self, variant):
+        factory = Thresholds.standard if variant == "standard" else Thresholds.improved
+        for heavy, light in self.PAIRS:
+            for t in range(1, 201):
+                th = factory(t, heavy, light)
+                exact = exact_thresholds(t, heavy, light, variant)
+                assert all(
+                    isinstance(b, int)
+                    for b in (th.safe_max, th.tight_floor, th.overfull_floor, th.makespan_bound)
+                )
+                state = SimpleNamespace(thresholds=th, total=lambda v: 0)
+                for load in range(3 * t + 1):
+                    assert classify_node("v", state, extra=load) == exact_class(load, exact)
+                    assert (load > th.makespan_bound) == (load > exact.overfull_floor)
+
+
+def seeded_contexts():
+    """200 small loaded contexts in the two-valued regime, then larger
+    generated ones, each with its own seeded stream and a variant."""
+
+    def in_regime(inst, seed):
+        rng = random.Random(seed)
+        report = validate(inst, SolveMode.TWO_VALUED)
+        if not report.ok:
+            return None
+        heavy, light = report.heavy_weight, report.light_weight
+        guesses = range(max(inst.max_weight(), 2 * light), 2 * heavy)
+        if not guesses:
+            return None
+        ctx = reduce_instance(inst, rng.choice(guesses), SolveMode.TWO_VALUED)
+        if isinstance(ctx, Declaration) or not ctx.movables:
+            return None
+        improved = ctx.heavy_weight >= 2 * ctx.light_weight and rng.random() < 0.5
+        return ctx, "improved" if improved else "standard", rng
+
+    found = seed = 0
+    while found < 200:
+        picked = in_regime(loaded_two_valued(seed)[0], seed)
+        seed += 1
+        if picked is not None:
+            found += 1
+            yield picked
+    for seed in range(60):
+        rng = random.Random(10_000 + seed)
+        m = rng.randint(8, 40)
+        light = rng.randint(1, 6)
+        heavy = rng.randint(light + 1, 3 * light + 2)
+        inst = generate_two_valued(
+            m, rng.randint(m // 4, m // 2), rng.randint(m, 3 * m), heavy, light,
+            rng.randint(2, 4), seed,
+        )
+        picked = in_regime(inst, 10_000 + seed)
+        if picked is not None:
+            yield picked
+
+
+class TestAgainstRescanningReference:
+    """The cached, frontier-only labeling and the first-hit push search on
+    integer thresholds agree with the whole-state rescans on exact rational
+    thresholds, before and after random valid pushes."""
+
+    def test_levels_classes_and_pushes(self):
+        contexts = pushes = 0
+        for ctx, variant, rng in seeded_contexts():
+            contexts += 1
+            factory = Thresholds.standard if variant == "standard" else Thresholds.improved
+            heavy, light = ctx.heavy_weight, ctx.light_weight
+            placement = {p.id: rng.choice(ctx.sorted_eligible(p)) for p in ctx.movables}
+            state = TwoValuedState(ctx, factory(ctx.t, heavy, light), placement)
+            exact = exact_thresholds(ctx.t, heavy, light, variant)
+            label_levels(state)
+            for _ in range(25):
+                fresh = {v: classify_node(v, state) for v in ctx.machine_ids}
+                assert state.loads == movable_loads(ctx, state.placement)
+                assert state.at == movables_by_machine(ctx, state.placement)
+                assert state.classes == fresh == rescanning_classes(state, exact)
+                assert state.stuck == [
+                    component_is_stuck(comp, fresh) for comp in state.components
+                ]
+                assert state.levels == rescanning_label_levels(state, exact)
+                candidates = rescanning_pushes(state, state.levels, exact)
+                least = PushMove(*candidates[0][2:0:-1], candidates[0][3]) if candidates else None
+                assert find_push(state) == least
+                if not candidates:
+                    break
+                # any push from the lowest level keeps levels monotone
+                _, u, pid, v = rng.choice(
+                    [c for c in candidates if c[0] == candidates[0][0]]
+                )
+                apply_push(state, PushMove(pid, u, v))
+                pushes += 1
+        assert contexts >= 250 and pushes >= 300
+
+
+# sha256 over solve(...).to_json() of golden_corpus(), as computed by the
+# rescanning core on exact rational thresholds
+GOLDEN_SHA256 = "886e2c2e3c345cf9f2ad94da1f12550aee99630a43c0d9d19f04156e7b0a1223"
+
+
+def golden_corpus():
+    for seed in range(200):
+        inst, _, _ = loaded_two_valued(seed)
+        if validate(inst, SolveMode.TWO_VALUED).ok:
+            yield inst
+    for seed in range(60):
+        m = (10, 20, 40, 60, 80)[seed % 5]
+        heavy, light = ((7, 3), (9, 2), (10, 6), (12, 5))[seed % 4]
+        if seed % 2:
+            yield generate_two_valued(m, m + m // 10, m, heavy, light, 3, seed)
+        else:
+            yield generate_two_valued(m, m * 9 // 20, m * 6 // 5, heavy, light, 2, seed)
+
+
+def test_golden_two_valued_corpus():
+    digest = hashlib.sha256()
+    for inst in golden_corpus():
+        solution = solve(inst, SolveMode.TWO_VALUED)
+        digest.update(json.dumps(solution.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == GOLDEN_SHA256
