@@ -482,10 +482,11 @@ class TestAgainstRescanningReference:
                 ]
                 assert state.levels == rescanning_label_levels(state, exact)
                 candidates = rescanning_pushes(state, state.levels, exact)
-                least = PushMove(*candidates[0][2:0:-1], candidates[0][3]) if candidates else None
-                assert find_push(state) == least
                 if not candidates:
+                    assert find_push(state) is None
                     break
+                _, u, pid, v = candidates[0]
+                assert find_push(state) == PushMove(pid, u, v)
                 # any push from the lowest level keeps levels monotone
                 _, u, pid, v = rng.choice(
                     [c for c in candidates if c[0] == candidates[0][0]]
