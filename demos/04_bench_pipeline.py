@@ -13,44 +13,52 @@ from pathlib import Path
 
 from graphbalance.cli import main
 
-workdir = Path(tempfile.mkdtemp(prefix="graphbalance-demo-"))
-corpus = workdir / "corpus"
-corpus.mkdir()
 
-print(f"writing corpus under {corpus}")
-for seed in range(8):
-    code = main(
-        [
-            "generate", "two-valued",
-            "--m", "5", "--heavy", "3", "--light", "6",
-            "--W", "12", "--w", "5",
-            "--seed", str(seed),
-            "--out", str(corpus / f"two_valued_{seed}.json"),
-        ]
-    )
-    assert code == 0
-for seed in range(4):
-    code = main(
-        [
-            "generate", "general",
-            "--m", "4", "--n", "8", "--beta", "7/10", "--Wmax", "15",
-            "--seed", str(seed),
-            "--out", str(corpus / f"general_{seed}.json"),
-        ]
-    )
-    assert code == 0
+def run_demo() -> None:
+    workdir = Path(tempfile.mkdtemp(prefix="graphbalance-demo-"))
+    corpus = workdir / "corpus"
+    corpus.mkdir()
 
-report = workdir / "bench.csv"
-assert main(["bench", "--dir", str(corpus), "--jobs", "4", "--out", str(report)]) == 0
+    print(f"writing corpus under {corpus}")
+    for seed in range(8):
+        code = main(
+            [
+                "generate", "two-valued",
+                "--m", "5", "--heavy", "3", "--light", "6",
+                "--W", "12", "--w", "5",
+                "--seed", str(seed),
+                "--out", str(corpus / f"two_valued_{seed}.json"),
+            ]
+        )
+        assert code == 0
+    for seed in range(4):
+        code = main(
+            [
+                "generate", "general",
+                "--m", "4", "--n", "8", "--beta", "7/10", "--Wmax", "15",
+                "--seed", str(seed),
+                "--out", str(corpus / f"general_{seed}.json"),
+            ]
+        )
+        assert code == 0
 
-rows = list(csv.DictReader(report.read_text().splitlines()))
-print(f"\n{len(rows)} instances benchmarked")
-header = f"{'instance':<22} {'makespan':>8} {'t*':>4} {'lb':>4} {'ratio':>7} {'cores':>5} {'pushes':>6}"
-print(header)
-print("-" * len(header))
-for row in rows:
-    print(
-        f"{row['instance']:<22} {row['makespan']:>8} {row['t_star']:>4} "
-        f"{row['lower_bound']:>4} {row['ratio']:>7} {row['cores']:>5} {row['pushes']:>6}"
-    )
-print("\nresolver work stays at ceil(log2(total weight)) + 2 guesses per instance.")
+    report = workdir / "bench.csv"
+    assert main(["bench", "--dir", str(corpus), "--jobs", "4", "--out", str(report)]) == 0
+
+    rows = list(csv.DictReader(report.read_text().splitlines()))
+    print(f"\n{len(rows)} instances benchmarked")
+    header = f"{'instance':<22} {'makespan':>8} {'t*':>4} {'lb':>4} {'ratio':>7} {'cores':>5} {'pushes':>6}"
+    print(header)
+    print("-" * len(header))
+    for row in rows:
+        print(
+            f"{row['instance']:<22} {row['makespan']:>8} {row['t_star']:>4} "
+            f"{row['lower_bound']:>4} {row['ratio']:>7} {row['cores']:>5} {row['pushes']:>6}"
+        )
+    print("\nresolver work stays at ceil(log2(total weight)) + 2 guesses per instance.")
+
+
+# bench --jobs solves in spawned worker processes, which import this file;
+# only the process started from the command line runs the demo
+if __name__ == "__main__":
+    run_demo()
