@@ -79,7 +79,8 @@ class TwoValuedState:
     ``at`` lists each machine's movables by id, ``classes`` holds every
     machine's class, ``hot[i]`` the tight-or-worse machines of component
     ``i`` and ``stuck[i]`` its status.  ``move`` keeps all of them current,
-    so nothing is rebuilt between pushes.
+    so nothing is rebuilt between pushes.  ``levels`` and their
+    ``potential`` are set by ``label_levels``.
     """
 
     def __init__(self, ctx: GuessContext, thresholds: Thresholds,
@@ -104,6 +105,7 @@ class TwoValuedState:
         ]
         self.stuck = [self._stuck_at(i) for i in range(len(self.components))]
         self.levels: dict[str, int] = {}
+        self.potential = 0
         self.push_count = 0
 
     def total(self, v: str) -> int:
@@ -208,6 +210,7 @@ def label_levels(state: TwoValuedState) -> None:
         for v in frontier:
             levels[v] = level
     state.levels = levels
+    state.potential = potential_value(ctx, state.at, levels)
 
 
 def _target_accepts(state: TwoValuedState, v: str) -> bool:
@@ -262,15 +265,13 @@ def apply_push(state: TwoValuedState, move: PushMove) -> int:
         or not _target_accepts(state, move.target)
     ):
         raise StaleMoveError(f"push {move} no longer satisfies its conditions")
-    old_levels = state.levels
-    old_potential = potential_value(state.ctx, state.at, old_levels)
+    old_levels, old_potential = state.levels, state.potential
     state.move(move.movable_id, move.target)
     label_levels(state)
     check_levels_monotone(old_levels, state.levels, state.ctx.machine_ids)
-    new_potential = potential_value(state.ctx, state.at, state.levels)
-    if new_potential >= old_potential:
+    if state.potential >= old_potential:
         raise InvariantViolation(
-            f"potential did not drop: {old_potential} -> {new_potential}"
+            f"potential did not drop: {old_potential} -> {state.potential}"
         )
     state.push_count += 1
     check_push_budget(state.ctx, state.push_count)
@@ -372,6 +373,6 @@ def run_two_valued(
                     "movable": move.movable_id,
                     "from": move.source,
                     "to": move.target,
-                    "potential": potential_value(ctx, state.at, state.levels),
+                    "potential": state.potential,
                 }
             )

@@ -481,6 +481,9 @@ class TestAgainstRescanningReference:
                     component_is_stuck(comp, fresh) for comp in state.components
                 ]
                 assert state.levels == rescanning_label_levels(state, exact)
+                assert state.potential == potential_value(
+                    ctx, movables_by_machine(ctx, state.placement), state.levels
+                )
                 candidates = rescanning_pushes(state, state.levels, exact)
                 if not candidates:
                     assert find_push(state) is None
