@@ -102,12 +102,13 @@ def solve(
     declarations: list[Declaration] = []
     invocations = 0
     pushes = 0
+    memo: dict = {}  # reductions per edge set, for this solve only
 
     def attempt(t: int):
         nonlocal invocations, pushes
         invocations += 1
         sub: list | None = [] if trace is not None else None
-        reduced = reduce_instance(instance, t, mode, beta)
+        reduced = reduce_instance(instance, t, mode, beta, memo)
         if isinstance(reduced, Declaration):
             declarations.append(reduced)
             if trace is not None:

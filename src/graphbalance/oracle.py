@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 from .errors import MalformedDeclaration, OracleBudgetError, OracleTimeout
-from .instance import Instance, SolveMode, parse_fraction
+from .instance import BETA_MIN, Instance, SolveMode, format_fraction, parse_fraction
 from . import preprocess
 
 JOB_BUDGET = 16
@@ -176,6 +176,11 @@ def _payload_mode(payload: dict):
             beta = parse_fraction(payload["beta"])
         except (KeyError, ValueError) as exc:
             raise MalformedDeclaration(f"payload lacks a valid 'beta': {exc}") from None
+        # below 1/2 two edge jobs can share a machine, which the floors exclude
+        if not BETA_MIN <= beta < 1:
+            raise MalformedDeclaration(
+                f"beta {format_fraction(beta)} lies outside [4/7, 1)"
+            )
     return mode, beta
 
 

@@ -11,6 +11,7 @@ cycle of length at least three, or an isolated node.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -337,6 +338,9 @@ class GuessContext:
     reductions: tuple[dict, ...]
     forced: tuple[tuple[str, str], ...]
     twins: tuple[TwinFold, ...] = field(default=())
+    # what a core builds once for this reduced state (relief's flow
+    # network); contexts of one memoised edge set share it
+    cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def machine_ids(self) -> list[str]:
@@ -416,35 +420,38 @@ def _mode_payload(
     return payload
 
 
+def _edge_floor(
+    t: int, mode: SolveMode, beta: Fraction | None, heavy: int
+) -> int:
+    """The integer a multi-machine job's weight must exceed to be an edge job.
+
+    Two-valued: ``max(floor(t/2), W-1)`` with W the heavy weight, so only
+    heavy jobs above t/2 qualify.  General: ``floor(beta*t)``.  Weights are
+    integers, so ``w > x`` iff ``w > floor(x)``.
+    """
+    if mode == SolveMode.TWO_VALUED:
+        return max(t // 2, heavy - 1)
+    if mode == SolveMode.GENERAL:
+        if beta is None:
+            raise ValidationError(["general mode requires beta"])
+        return beta.numerator * t // beta.denominator
+    raise ValueError("classification requires a resolved mode")
+
+
 def classify_jobs(
     instance: Instance, t: int, mode: SolveMode, beta: Fraction | None = None
 ) -> tuple[list[EdgeJob], list[MovableJob]]:
     """Split the multi-machine jobs into edge jobs and movables at guess t.
 
-    Two-valued: a job is an edge job iff its weight is the heavy value and
-    exceeds t/2.  General: iff its weight exceeds beta*t.  Single-machine
-    jobs are ignored here; fold them first.
+    A job is an edge job iff its weight exceeds :func:`_edge_floor`: in
+    two-valued mode the heavy weight above t/2, in general mode any weight
+    above beta*t.  Single-machine jobs are ignored here; fold them first.
     """
     multi = [j for j in instance.jobs if len(j.eligible) >= 2]
-    if mode == SolveMode.TWO_VALUED:
-        heavy = max((j.weight for j in multi), default=0)
-
-        def is_edge(job: JobSpec) -> bool:
-            return 2 * job.weight > t and job.weight == heavy
-
-    elif mode == SolveMode.GENERAL:
-        if beta is None:
-            raise ValidationError(["general mode requires beta"])
-
-        def is_edge(job: JobSpec) -> bool:
-            return Fraction(job.weight) > beta * t
-
-    else:
-        raise ValueError("classification requires a resolved mode")
-
+    floor = _edge_floor(t, mode, beta, max((j.weight for j in multi), default=0))
     edge_jobs, movables = [], []
     for job in multi:
-        if is_edge(job):
+        if job.weight > floor:
             if len(job.eligible) != 2:
                 raise ValidationError(
                     [
@@ -459,36 +466,57 @@ def classify_jobs(
     return edge_jobs, movables
 
 
-def reduce_instance(
-    instance: Instance, t: int, mode: SolveMode, beta: Fraction | None = None
-) -> GuessContext | Declaration:
-    """Apply all guess-t reductions, or declare the guess impossible.
+@dataclass
+class _SolveBasis:
+    """What every guess of one solve shares: single-machine jobs folded into
+    the dedicated loads, and the multi-machine weights sorted ascending."""
 
-    In order: fold single-machine jobs, check dedicated loads against t,
-    classify, reject components with two or more cycles, fold pendant trees
-    of one-cycle components, replace parallel edge pairs by a movable of the
-    weight difference, and repeat to a fixpoint.  The log records each step.
+    instance: Instance
+    mode: SolveMode
+    beta: Fraction | None
+    heavy_weight: int | None
+    light_weight: int | None
+    weights: list[int]
+    max_weight: int
+    dedicated: dict[str, int]
+    peak: int
+    forced: tuple[tuple[str, str], ...]
+    log: tuple[dict, ...]
+    mode_fields: dict
+
+
+@dataclass
+class _EdgeSetReduction:
+    """The reductions of one edge set, shared by every guess that has it.
+
+    ``checkpoints`` holds ``(peak, dedicated)`` after each fold pass and each
+    twin pass, in order: a guess below a checkpoint's peak overflows there.
+    Past the checkpoints, ``multi_cycle`` rules out every guess; without one
+    the remaining fields are the reduced state.  ``cache`` is where a core
+    keeps what it builds once for this state (relief's flow network).
     """
-    if mode == SolveMode.AUTO:
-        raise ValueError("reduce requires a resolved mode (two_valued or general)")
-    if t < instance.max_weight():
-        raise RegimeError(
-            f"guess t={t} is below the maximum job weight {instance.max_weight()}"
-        )
 
-    multi_weights = sorted(
-        {j.weight for j in instance.jobs if len(j.eligible) >= 2}
-    )
-    heavy_weight = light_weight = None
-    if mode == SolveMode.TWO_VALUED and multi_weights:
-        heavy_weight = multi_weights[-1]
-        light_weight = multi_weights[0]
+    checkpoints: list[tuple[int, dict[str, int]]]
+    multi_cycle: Component | None = None
+    dedicated: dict[str, int] = field(default_factory=dict)
+    movables: tuple[MovableJob, ...] = ()
+    graph: EdgeGraph | None = None
+    reductions: tuple[dict, ...] = ()
+    forced: tuple[tuple[str, str], ...] = ()
+    twins: tuple[TwinFold, ...] = ()
+    cache: dict = field(default_factory=dict)
 
+
+_BASIS = "basis"
+
+
+def _solve_basis(
+    instance: Instance, mode: SolveMode, beta: Fraction | None
+) -> _SolveBasis:
     dedicated = {m.id: m.dedicated_load for m in instance.machines}
-    log: list[dict] = []
     forced: list[tuple[str, str]] = []
-    twins: list[TwinFold] = []
-
+    log: list[dict] = []
+    weights: list[int] = []
     for job in instance.jobs:
         if len(job.eligible) == 1:
             (only,) = job.eligible
@@ -497,47 +525,51 @@ def reduce_instance(
             log.append(
                 {"op": "fold_single", "job": job.id, "machine": only, "weight": job.weight}
             )
+        else:
+            weights.append(job.weight)
+    weights.sort()
+    heavy_weight = light_weight = None
+    if mode == SolveMode.TWO_VALUED and weights:
+        heavy_weight, light_weight = weights[-1], weights[0]
+    return _SolveBasis(
+        instance=instance,
+        mode=mode,
+        beta=beta,
+        heavy_weight=heavy_weight,
+        light_weight=light_weight,
+        weights=weights,
+        max_weight=instance.max_weight(),
+        dedicated=dedicated,
+        peak=max(dedicated.values(), default=0),
+        forced=tuple(forced),
+        log=tuple(log),
+        mode_fields=_mode_payload(mode, beta, heavy_weight, light_weight),
+    )
 
-    mode_fields = _mode_payload(mode, beta, heavy_weight, light_weight)
 
-    def overflow() -> Declaration | None:
-        for v in instance.machine_ids:
-            if dedicated[v] > t:
-                log.append({"op": "declare", "kind": DEDICATED_OVERFLOW, "machine": v})
-                return Declaration(
-                    t,
-                    DEDICATED_OVERFLOW,
-                    {"machine": v, "dedicated": dedicated[v], **mode_fields},
-                )
-        return None
+def _reduce_edge_set(basis: _SolveBasis, t: int) -> _EdgeSetReduction:
+    """Fold pendant trees of one-cycle components and replace parallel edge
+    pairs by a movable of the weight difference, to a fixpoint, recording
+    the dedicated loads after every pass that changed them."""
+    instance = basis.instance
+    order = instance.machine_index.__getitem__
+    nodes = tuple(instance.machine_ids)
+    dedicated = dict(basis.dedicated)
+    log = list(basis.log)
+    forced = list(basis.forced)
+    twins: list[TwinFold] = []
+    checkpoints: list[tuple[int, dict[str, int]]] = []
 
-    decl = overflow()
-    if decl:
-        return decl
+    def checkpoint() -> None:
+        checkpoints.append((max(dedicated.values(), default=0), dict(dedicated)))
 
-    edge_jobs, movables = classify_jobs(instance, t, mode, beta)
-
+    edge_jobs, movables = classify_jobs(instance, t, basis.mode, basis.beta)
     while True:
-        graph = EdgeGraph(tuple(instance.machine_ids), tuple(edge_jobs))
+        graph = EdgeGraph(nodes, tuple(edge_jobs))
         changed = False
         for comp in graph.components():
             if comp.kind == "multi_cycle":
-                log.append(
-                    {
-                        "op": "declare",
-                        "kind": MULTI_CYCLE_COMPONENT,
-                        "nodes": list(comp.nodes),
-                    }
-                )
-                return Declaration(
-                    t,
-                    MULTI_CYCLE_COMPONENT,
-                    {
-                        "nodes": list(comp.nodes),
-                        "edges": [e.id for e in comp.edges],
-                        **mode_fields,
-                    },
-                )
+                return _EdgeSetReduction(checkpoints, multi_cycle=comp)
             if comp.kind == "one_cycle":
                 _, _, folds = _prune_to_core(graph, comp)
                 dropped = set()
@@ -556,17 +588,14 @@ def reduce_instance(
                 edge_jobs = [e for e in edge_jobs if e.id not in dropped]
                 changed = True
         if changed:
-            decl = overflow()
-            if decl:
-                return decl
-            graph = EdgeGraph(tuple(instance.machine_ids), tuple(edge_jobs))
+            checkpoint()
 
         by_pair: dict[frozenset[str], list[EdgeJob]] = {}
         for e in edge_jobs:
             by_pair.setdefault(e.ends, []).append(e)
         doubled = False
         for pair, bucket in sorted(
-            by_pair.items(), key=lambda kv: tuple(sorted(map(graph.order, kv[0])))
+            by_pair.items(), key=lambda kv: tuple(sorted(map(order, kv[0])))
         ):
             if len(bucket) < 2:
                 continue
@@ -575,7 +604,7 @@ def reduce_instance(
                     "3+ parallel edges imply a multi-cycle component"
                 )
             first, second = sorted(bucket, key=lambda e: (-e.weight, e.id))
-            u, v = sorted(pair, key=graph.order)
+            u, v = sorted(pair, key=order)
             dedicated[u] += second.weight
             dedicated[v] += second.weight
             diff = first.weight - second.weight
@@ -598,13 +627,11 @@ def reduce_instance(
             edge_jobs = [e for e in edge_jobs if e.id not in dropped]
             doubled = True
         if doubled:
-            decl = overflow()
-            if decl:
-                return decl
+            checkpoint()
         if not changed and not doubled:
             break
 
-    graph = EdgeGraph(tuple(instance.machine_ids), tuple(edge_jobs))
+    # the last pass changed nothing, so its graph is the reduced one
     for comp in graph.components():
         if comp.kind not in ("isolated", "tree", "cycle") or (
             comp.kind == "cycle" and len(comp.nodes) < 3
@@ -614,18 +641,95 @@ def reduce_instance(
             )
     if any(len(p.eligible) < 2 for p in movables):
         raise InvariantViolation("a reduced movable has fewer than two machines")
-
-    return GuessContext(
-        instance=instance,
-        t=t,
-        mode=mode,
-        beta=beta,
-        heavy_weight=heavy_weight,
-        light_weight=light_weight,
+    return _EdgeSetReduction(
+        checkpoints,
         dedicated=dedicated,
         movables=tuple(movables),
         graph=graph,
         reductions=tuple(log),
         forced=tuple(forced),
         twins=tuple(twins),
+    )
+
+
+def _overflow(basis: _SolveBasis, t: int, loads: dict[str, int]) -> Declaration:
+    machine = next(v for v, load in loads.items() if load > t)
+    return Declaration(
+        t,
+        DEDICATED_OVERFLOW,
+        {"machine": machine, "dedicated": loads[machine], **basis.mode_fields},
+    )
+
+
+def reduce_instance(
+    instance: Instance,
+    t: int,
+    mode: SolveMode,
+    beta: Fraction | None = None,
+    memo: dict | None = None,
+) -> GuessContext | Declaration:
+    """Apply all guess-t reductions, or declare the guess impossible.
+
+    In order: fold single-machine jobs, check dedicated loads against t,
+    classify, reject components with two or more cycles, fold pendant trees
+    of one-cycle components, replace parallel edge pairs by a movable of the
+    weight difference, and repeat to a fixpoint, checking the dedicated
+    loads after every pass.  The log records each step.
+
+    The work depends on t only through the edge set and those checks, so a
+    solve passes one *memo* dict to all its guesses: singles are folded
+    once, and each edge set is reduced once.  Contexts of one edge set share
+    their dedicated loads, movables, graph and logs; cores must not mutate
+    them.
+    """
+    if mode == SolveMode.AUTO:
+        raise ValueError("reduce requires a resolved mode (two_valued or general)")
+    if memo is None:
+        memo = {}
+    basis = memo.get(_BASIS)
+    if basis is None:
+        basis = memo[_BASIS] = _solve_basis(instance, mode, beta)
+    elif basis.instance is not instance or basis.mode != mode or basis.beta != beta:
+        raise ValueError("the memo belongs to another instance, mode or beta")
+    if t < basis.max_weight:
+        raise RegimeError(
+            f"guess t={t} is below the maximum job weight {basis.max_weight}"
+        )
+
+    if basis.peak > t:
+        return _overflow(basis, t, basis.dedicated)
+    heavy = basis.weights[-1] if basis.weights else 0
+    # edge sets are suffixes of the sorted weights: key one by its length
+    key = bisect_right(basis.weights, _edge_floor(t, mode, beta, heavy))
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = _reduce_edge_set(basis, t)
+    for peak, loads in entry.checkpoints:
+        if peak > t:
+            return _overflow(basis, t, loads)
+    if entry.multi_cycle is not None:
+        comp = entry.multi_cycle
+        return Declaration(
+            t,
+            MULTI_CYCLE_COMPONENT,
+            {
+                "nodes": list(comp.nodes),
+                "edges": [e.id for e in comp.edges],
+                **basis.mode_fields,
+            },
+        )
+    return GuessContext(
+        instance=instance,
+        t=t,
+        mode=mode,
+        beta=beta,
+        heavy_weight=basis.heavy_weight,
+        light_weight=basis.light_weight,
+        dedicated=entry.dedicated,
+        movables=entry.movables,
+        graph=entry.graph,
+        reductions=entry.reductions,
+        forced=entry.forced,
+        twins=entry.twins,
+        cache=entry.cache,
     )

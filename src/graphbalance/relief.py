@@ -20,7 +20,10 @@ from .push import CoreStats
 
 def run_relief(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, CoreStats]:
     t = ctx.t
-    items = ctx.job_items()
+    network = ctx.cache.get("relief")
+    if network is None or not network.serves(ctx):
+        network = ctx.cache["relief"] = _FlowNetwork(ctx)
+    items = network.items
     stats = CoreStats()
     if not items:
         makespan = max(ctx.dedicated.values(), default=0)
@@ -29,7 +32,7 @@ def run_relief(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, CoreSta
         stats.makespan = makespan
         return {}, stats
 
-    feasible, result = _flow_check(ctx, t, items)
+    feasible, result = network.check(ctx, t)
     if not feasible:
         cut_machines, captive = result
         stats.declared = True
@@ -63,9 +66,11 @@ class _Dinic:
         self.n = n
         self.adj: list[list[list[int]]] = [[] for _ in range(n)]  # [to, cap, rev]
 
-    def add(self, u: int, v: int, cap: int) -> None:
-        self.adj[u].append([v, cap, len(self.adj[v])])
+    def add(self, u: int, v: int, cap: int) -> list[int]:
+        arc = [v, cap, len(self.adj[v])]
+        self.adj[u].append(arc)
         self.adj[v].append([u, 0, len(self.adj[u]) - 1])
+        return arc
 
     def max_flow(self, s: int, tt: int) -> int:
         flow = 0
@@ -130,46 +135,75 @@ class _Dinic:
         return seen
 
 
-def _flow_check(ctx: GuessContext, t: int, items):
-    """Fractional feasibility at t by integral max-flow.
+class _FlowNetwork:
+    """Fractional feasibility of one reduced state by integral max-flow.
 
-    Returns ``(True, units)`` with ``units[(job, machine)]`` the integral flow
-    split, or ``(False, (cut_machines, captive_jobs))`` where the residual cut
-    gives machines whose captive jobs provably overfill them.
+    Source to each job (its weight), job to each eligible machine
+    (unbounded), machine to sink (``t`` minus its dedicated load).  Only the
+    sink capacities depend on the guess, so the network is built once per
+    reduced state; each check restores every arc's capacity, in the same
+    arc order, and sets the sink capacities for its guess.
     """
-    machines = ctx.machine_ids
-    job_ids = [jid for jid, _, _ in items]
-    total = sum(w for _, w, _ in items)
-    n = 2 + len(job_ids) + len(machines)
-    source, sink = 0, n - 1
-    job_node = {jid: 1 + i for i, jid in enumerate(job_ids)}
-    machine_node = {v: 1 + len(job_ids) + i for i, v in enumerate(machines)}
-    net = _Dinic(n)
-    unconstrained = total + 1
-    for jid, w, elig in items:
-        net.add(source, job_node[jid], w)
-        for v in elig:
-            net.add(job_node[jid], machine_node[v], unconstrained)
-    for v in machines:
-        net.add(machine_node[v], sink, max(t - ctx.dedicated[v], 0))
-    value = net.max_flow(source, sink)
-    if value < total:
-        reach = net.reachable(source)
-        cut_machines = sorted(
-            (v for v in machines if machine_node[v] in reach), key=ctx.index
+
+    def __init__(self, ctx: GuessContext):
+        self.dedicated, self.movables, self.graph = ctx.dedicated, ctx.movables, ctx.graph
+        self.items = items = ctx.job_items()
+        self.machines = machines = ctx.machine_ids
+        self.job_ids = [jid for jid, _, _ in items]
+        self.total = sum(w for _, w, _ in items)
+        n = 2 + len(self.job_ids) + len(machines)
+        self.source, self.sink = 0, n - 1
+        self.job_node = {jid: 1 + i for i, jid in enumerate(self.job_ids)}
+        self.machine_node = {v: 1 + len(self.job_ids) + i for i, v in enumerate(machines)}
+        self.net = net = _Dinic(n)
+        self.unconstrained = self.total + 1
+        for jid, w, elig in items:
+            net.add(self.source, self.job_node[jid], w)
+            for v in elig:
+                net.add(self.job_node[jid], self.machine_node[v], self.unconstrained)
+        self.sink_arcs = [
+            (v, net.add(self.machine_node[v], self.sink, 0)) for v in machines
+        ]
+        self.capacities = [(arc, arc[1]) for adj in net.adj for arc in adj]
+
+    def serves(self, ctx: GuessContext) -> bool:
+        return (
+            self.dedicated is ctx.dedicated
+            and self.movables is ctx.movables
+            and self.graph is ctx.graph
         )
-        captive = sorted(jid for jid in job_ids if job_node[jid] in reach)
-        return False, (cut_machines, captive)
-    node_to_machine = {node: mid for mid, node in machine_node.items()}
-    units: dict[tuple[str, str], int] = {}
-    for jid in job_ids:
-        for v, cap_arc, _ in net.adj[job_node[jid]]:
-            mid = node_to_machine.get(v)
-            if mid is not None:
-                sent = unconstrained - cap_arc
-                if sent > 0:
-                    units[(jid, mid)] = sent
-    return True, units
+
+    def check(self, ctx: GuessContext, t: int):
+        """Returns ``(True, units)`` with ``units[(job, machine)]`` the
+        integral flow split, or ``(False, (cut_machines, captive_jobs))``
+        where the residual cut gives machines whose captive jobs provably
+        overfill them."""
+        net = self.net
+        for arc, cap in self.capacities:
+            arc[1] = cap
+        for v, arc in self.sink_arcs:
+            arc[1] = max(t - ctx.dedicated[v], 0)
+        value = net.max_flow(self.source, self.sink)
+        if value < self.total:
+            reach = net.reachable(self.source)
+            cut_machines = sorted(
+                (v for v in self.machines if self.machine_node[v] in reach),
+                key=ctx.index,
+            )
+            captive = sorted(
+                jid for jid in self.job_ids if self.job_node[jid] in reach
+            )
+            return False, (cut_machines, captive)
+        node_to_machine = {node: mid for mid, node in self.machine_node.items()}
+        units: dict[tuple[str, str], int] = {}
+        for jid in self.job_ids:
+            for v, cap_arc, _ in net.adj[self.job_node[jid]]:
+                mid = node_to_machine.get(v)
+                if mid is not None:
+                    sent = self.unconstrained - cap_arc
+                    if sent > 0:
+                        units[(jid, mid)] = sent
+        return True, units
 
 
 def _round_flow(ctx: GuessContext, t: int, items, units) -> dict[str, str]:

@@ -228,6 +228,27 @@ def _target_accepts(state: TwoValuedState, v: str) -> bool:
     return not _stuck(state.components[i].kind, hot)
 
 
+def _push_from(
+    state: TwoValuedState, u: str, verdict: dict[str, bool]
+) -> PushMove | None:
+    """The first movable on *u*, by id, with an accepting target one level
+    up, and its least such target; *verdict* caches each target's test."""
+    levels = state.levels
+    up = levels[u] + 1
+    for p in state.at[u]:
+        hits = []
+        for v in p.eligible:
+            if levels.get(v) != up:
+                continue
+            if v not in verdict:
+                verdict[v] = _target_accepts(state, v)
+            if verdict[v]:
+                hits.append(v)
+        if hits:
+            return PushMove(p.id, u, min(hits))
+    return None
+
+
 def find_push(state: TwoValuedState) -> PushMove | None:
     """The least ``(level, source, movable, target)`` push.
 
@@ -238,33 +259,36 @@ def find_push(state: TwoValuedState) -> PushMove | None:
     levels = state.levels
     verdict: dict[str, bool] = {}
     for u in sorted(levels, key=lambda x: (levels[x], x)):
-        up = levels[u] + 1
-        for p in state.at[u]:
-            hits = []
-            for v in p.eligible:
-                if levels.get(v) != up:
-                    continue
-                if v not in verdict:
-                    verdict[v] = _target_accepts(state, v)
-                if verdict[v]:
-                    hits.append(v)
-            if hits:
-                return PushMove(p.id, u, min(hits))
+        move = _push_from(state, u, verdict)
+        if move is not None:
+            return move
     return None
 
 
 def apply_push(state: TwoValuedState, move: PushMove) -> int:
     """Relocate the movable and relabel; levels may only rise and the
     potential must strictly drop, else the state is corrupted.  Returns the
-    potential before the push."""
+    potential before the push.
+
+    Only a push from the least level that has one keeps the levels
+    monotone, so a push from a higher level is rejected as stale before
+    anything changes."""
     if state.placement.get(move.movable_id) != move.source:
         raise StaleMoveError(f"{move.movable_id} is no longer at {move.source}")
+    level = state.levels.get(move.source)
     if (
-        state.levels.get(move.source) is None
-        or state.levels.get(move.target) != state.levels[move.source] + 1
+        level is None
+        or state.levels.get(move.target) != level + 1
         or not _target_accepts(state, move.target)
     ):
         raise StaleMoveError(f"push {move} no longer satisfies its conditions")
+    verdict: dict[str, bool] = {}
+    if any(
+        _push_from(state, u, verdict) is not None
+        for u, lvl in state.levels.items()
+        if lvl < level
+    ):
+        raise StaleMoveError(f"push {move} is not from the least level with a push")
     old_levels, old_potential = state.levels, state.potential
     state.move(move.movable_id, move.target)
     label_levels(state)

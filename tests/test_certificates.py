@@ -106,6 +106,17 @@ def test_malformed_payload_raises():
         verify_certificate(inst, Declaration(5, "no_such_kind", {}))
 
 
+@pytest.mark.parametrize("beta", ("1/10", "1/2", "1", "3/2"))
+def test_beta_outside_the_general_range_is_malformed(beta):
+    # three weight-3 jobs on {a, b}: OPT is 6.  Below beta = 1/2 all three
+    # would count as edge jobs at t = 6, a "multi-cycle" that no orientation
+    # with one edge per machine survives, so the floor would confirm OPT >= 7
+    inst = build([("a", 0), ("b", 0)], [(f"j{i}", 3, ["a", "b"]) for i in range(3)])
+    payload = {"machine": "a", "dedicated": 0, "mode": "general", "beta": beta}
+    with pytest.raises(MalformedDeclaration):
+        verify_certificate(inst, Declaration(6, "dedicated_overflow", payload))
+
+
 def test_general_declarations_confirmed(general_declarations):
     assert general_declarations, "expected some declarations in the pool"
     for inst, decl in general_declarations:

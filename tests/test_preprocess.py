@@ -1,6 +1,9 @@
 """Reductions, the edge graph, and the orientation-minimum DP."""
 
+import copy
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -10,14 +13,23 @@ from graphbalance import (
     Declaration,
     EdgeGraph,
     EdgeJob,
+    RegimeError,
     SolveMode,
     classify_jobs,
     feasible_at,
     generate_adversarial_path,
+    generate_general,
+    generate_two_valued,
     min_edge_load_into,
     reduce_instance,
+    validate,
 )
+from graphbalance.general import run_general
+from graphbalance.matching import run_matching
+from graphbalance.oracle import greedy_makespan, trivial_lower_bound
 from graphbalance.preprocess import DEDICATED_OVERFLOW, MULTI_CYCLE_COMPONENT
+from graphbalance.relief import run_relief
+from graphbalance.two_valued import run_two_valued
 
 from conftest import build, loaded_general, loaded_two_valued
 
@@ -266,3 +278,154 @@ class TestMinEdgeLoad:
         graph = EdgeGraph(nodes, tuple(edges))
         subset = set(rng.sample(nodes, rng.randint(1, n)))
         assert min_edge_load_into(graph, subset) == enumerate_min_into(graph, subset)
+
+
+def memo_corpus():
+    """Seeded two-valued and general instances with their mode and beta."""
+    for seed in range(60):
+        inst, _, _ = loaded_two_valued(seed)
+        if validate(inst, SolveMode.TWO_VALUED).ok:
+            yield inst, SolveMode.TWO_VALUED, None
+    for seed in range(60):
+        beta = (Fraction(4, 7), Fraction(7, 10), Fraction(9, 10))[seed % 3]
+        yield loaded_general(seed, beta), SolveMode.GENERAL, beta
+    for seed in range(8):
+        m = 12 + 4 * seed
+        heavy, light = ((7, 3), (10, 4), (9, 2), (12, 5))[seed % 4]
+        yield (
+            generate_two_valued(m, m + m // 10, m, heavy, light, 3, seed),
+            SolveMode.TWO_VALUED,
+            None,
+        )
+        beta = Fraction(7, 10)
+        yield generate_general(m, 4 * m, beta, 40, seed), SolveMode.GENERAL, beta
+
+
+def reduction_view(reduced):
+    """Everything a caller can observe of one reduction result."""
+    if isinstance(reduced, Declaration):
+        return ("declared", reduced.t, reduced.kind, reduced.payload)
+    return (
+        "context",
+        reduced.t,
+        reduced.heavy_weight,
+        reduced.light_weight,
+        reduced.dedicated,
+        reduced.movables,
+        reduced.graph.nodes,
+        reduced.graph.edges,
+        reduced.graph.components(),
+        reduced.reductions,
+        reduced.forced,
+        reduced.twins,
+    )
+
+
+def canonical(reduced) -> str:
+    """The reduction view as JSON, independent of set and hash order."""
+    view = reduction_view(reduced)
+    if view[0] == "context":
+        _, t, heavy, light, dedicated, movables, nodes, edges, comps, log, forced, twins = view
+        view = (
+            "context", t, heavy, light, list(dedicated.items()),
+            [(p.id, p.weight, sorted(p.eligible)) for p in movables],
+            nodes, [(e.id, e.u, e.v, e.weight) for e in edges],
+            [(c.nodes, [e.id for e in c.edges], c.kind) for c in comps],
+            log, forced, [vars(tw) for tw in twins],
+        )
+    return json.dumps(view, sort_keys=True)
+
+
+def guess_range(inst):
+    return range(trivial_lower_bound(inst), greedy_makespan(inst) + 1)
+
+
+# sha256 over canonical(reduce_instance(...)) of memo_corpus() at every guess,
+# as computed by the sequential reduction that rebuilt everything per guess
+MEMO_CORPUS_SHA256 = "51e4fd8c7d80d63d611a4affb1eca95572d9e94c891dfbbe808f6490ff4d4643"
+
+
+class TestMemo:
+    """One memo per solve: every guess must reduce exactly as it would alone."""
+
+    def test_memo_matches_memo_free_reduction(self):
+        kinds = set()
+        several_sets = shared_sets = 0
+        for index, (inst, mode, beta) in enumerate(memo_corpus()):
+            guesses = list(guess_range(inst))
+            shuffled = guesses[:]
+            random.Random(index).shuffle(shuffled)
+            for order in (guesses, shuffled):
+                memo = {}
+                for t in order:
+                    alone = reduce_instance(inst, t, mode, beta)
+                    shared = reduce_instance(inst, t, mode, beta, memo)
+                    assert reduction_view(shared) == reduction_view(alone)
+                    if isinstance(alone, Declaration):
+                        kinds.add(alone.kind)
+                edge_sets = len(memo) - 1  # one key holds the solve's basis
+                several_sets += edge_sets > 1
+                shared_sets += edge_sets < len(order)
+        # the corpus reaches both structural declarations, solves with
+        # several edge sets and edge sets that serve several guesses
+        assert {DEDICATED_OVERFLOW, MULTI_CYCLE_COMPONENT} <= kinds
+        assert several_sets > 50 and shared_sets > 150
+
+    def test_memo_free_reductions_are_unchanged(self):
+        digest = hashlib.sha256()
+        for inst, mode, beta in memo_corpus():
+            for t in guess_range(inst):
+                digest.update(canonical(reduce_instance(inst, t, mode, beta)).encode())
+        assert digest.hexdigest() == MEMO_CORPUS_SHA256
+
+    def test_memo_belongs_to_one_solve(self):
+        inst, _, _ = loaded_two_valued(0)
+        memo = {}
+        t = trivial_lower_bound(inst)
+        reduce_instance(inst, t, SolveMode.TWO_VALUED, None, memo)
+        with pytest.raises(ValueError):
+            reduce_instance(inst, t, SolveMode.GENERAL, Fraction(7, 10), memo)
+        other, _, _ = loaded_two_valued(1)
+        with pytest.raises(ValueError):
+            reduce_instance(other, trivial_lower_bound(other), SolveMode.TWO_VALUED, None, memo)
+
+    def test_cores_leave_memoised_contexts_unchanged(self):
+        def cores(ctx):
+            yield "matching", lambda: run_matching(ctx)
+            yield "relief", lambda: run_relief(ctx)
+            yield "general", lambda: run_general(ctx, ctx.beta)
+            for variant in ("standard", "improved"):
+                yield variant, lambda variant=variant: run_two_valued(ctx, variant=variant)
+
+        ran = set()
+        for inst, mode, beta in memo_corpus():
+            memo = {}
+            contexts = [
+                reduced
+                for t in guess_range(inst)
+                if not isinstance(
+                    reduced := reduce_instance(inst, t, mode, beta, memo), Declaration
+                )
+            ]
+            entries = {key: entry for key, entry in memo.items() if key != "basis"}
+            before = copy.deepcopy(
+                {key: (entry.checkpoints, entry.dedicated, entry.movables,
+                       vars(entry.graph) if entry.graph else None, entry.reductions,
+                       entry.forced, entry.twins)
+                 for key, entry in entries.items()}
+            )
+            for ctx in contexts:
+                for name, run in cores(ctx):
+                    try:
+                        run()
+                    except RegimeError:
+                        continue
+                    ran.add(name)
+            after = {
+                key: (entry.checkpoints, entry.dedicated, entry.movables,
+                      vars(entry.graph) if entry.graph else None, entry.reductions,
+                      entry.forced, entry.twins)
+                for key, entry in entries.items()
+            }
+            assert after == before
+        assert ran == {"matching", "relief", "general", "standard", "improved"}

@@ -7,12 +7,17 @@ output.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from graphbalance import (
+    Instance,
+    JobSpec,
+    MachineSpec,
     SolveMode,
     certified_ratio_bound,
+    generate_general,
     generate_two_valued,
     solve,
     validate,
@@ -30,16 +35,10 @@ TWO_VALUED_SHAPES = {
 }
 
 
-@pytest.mark.parametrize("shape", sorted(TWO_VALUED_SHAPES))
-@pytest.mark.parametrize("m", (300, 500))
-def test_two_valued_at_scale(m, shape):
-    heavy_rate, light_rate, degree, heavy, light = TWO_VALUED_SHAPES[shape]
-    inst = generate_two_valued(
-        m, int(heavy_rate * m), int(light_rate * m), heavy, light, degree, m
-    )
-    report = validate(inst, SolveMode.TWO_VALUED)
+def check_at_scale(inst, mode=SolveMode.AUTO, beta=None):
+    report = validate(inst, mode, beta)
     assert report.ok
-    solution = solve(inst)
+    solution = solve(inst, mode, beta)
     valid, makespan = verify_solution(inst, solution.assignment)
     assert valid and makespan == solution.makespan
     bound = certified_ratio_bound(
@@ -48,5 +47,45 @@ def test_two_valued_at_scale(m, shape):
     assert makespan <= bound * solution.lower_bound
     for declaration in solution.declarations:
         assert verify_certificate(inst, declaration, allow_exhaustive=False) == "confirmed"
-    again = solve(inst)
+    again = solve(inst, mode, beta)
     assert json.dumps(again.to_json()) == json.dumps(solution.to_json())
+    return solution
+
+
+@pytest.mark.parametrize("shape", sorted(TWO_VALUED_SHAPES))
+@pytest.mark.parametrize("m", (300, 500))
+def test_two_valued_at_scale(m, shape):
+    heavy_rate, light_rate, degree, heavy, light = TWO_VALUED_SHAPES[shape]
+    inst = generate_two_valued(
+        m, int(heavy_rate * m), int(light_rate * m), heavy, light, degree, m
+    )
+    check_at_scale(inst, SolveMode.TWO_VALUED)
+
+
+def test_unit_chain_of_ten_thousand_machines():
+    # heavy jobs on consecutive machine pairs and one light job on the first
+    # pair, light < heavy < 2 * light: each machine takes one job, OPT is the
+    # heavy weight, and the light job's augmenting path runs the whole chain
+    m, heavy, light = 10_000, 7, 5
+    ids = [f"c{i:05d}" for i in range(m)]
+    jobs = [
+        JobSpec(f"h{i:05d}", heavy, frozenset((ids[i], ids[i + 1])))
+        for i in range(m - 1)
+    ]
+    jobs.append(JobSpec("l0", light, frozenset(ids[:2])))
+    inst = Instance(tuple(MachineSpec(v, 0) for v in ids), tuple(jobs))
+    solution = check_at_scale(inst)
+    assert solution.makespan == heavy
+
+
+@pytest.mark.parametrize(
+    "m, beta",
+    [
+        (100, Fraction(4, 7)),
+        (100, Fraction(7, 10)),
+        (100, Fraction(9, 10)),
+        (150, Fraction(7, 10)),
+    ],
+)
+def test_general_at_scale(m, beta):
+    check_at_scale(generate_general(m, 4 * m, beta, 100, 1), SolveMode.GENERAL, beta)

@@ -1,5 +1,6 @@
 """Two-weight core: classification, labeling, pushes, and full runs."""
 
+import copy
 import hashlib
 import json
 import random
@@ -497,6 +498,41 @@ class TestAgainstRescanningReference:
                 apply_push(state, PushMove(pid, u, v))
                 pushes += 1
         assert contexts >= 250 and pushes >= 300
+
+
+def observable_state(state):
+    return copy.deepcopy(
+        (state.placement, state.loads, state.at, state.classes, state.hot,
+         state.stuck, state.levels, state.potential, state.push_count)
+    )
+
+
+def test_push_above_the_least_level_is_stale():
+    """A valid push from a level above the least one that has a push would
+    let some level drop; it is refused before the state changes."""
+    refused = 0
+    for ctx, variant, rng in seeded_contexts():
+        factory = Thresholds.standard if variant == "standard" else Thresholds.improved
+        heavy, light = ctx.heavy_weight, ctx.light_weight
+        placement = {p.id: rng.choice(ctx.sorted_eligible(p)) for p in ctx.movables}
+        state = TwoValuedState(ctx, factory(ctx.t, heavy, light), placement)
+        exact = exact_thresholds(ctx.t, heavy, light, variant)
+        label_levels(state)
+        for _ in range(25):
+            candidates = rescanning_pushes(state, state.levels, exact)
+            if not candidates:
+                break
+            higher = [c for c in candidates if c[0] > candidates[0][0]]
+            if higher:
+                _, u, pid, v = rng.choice(higher)
+                before = observable_state(state)
+                with pytest.raises(StaleMoveError):
+                    apply_push(state, PushMove(pid, u, v))
+                assert observable_state(state) == before
+                refused += 1
+            _, u, pid, v = candidates[0]
+            apply_push(state, PushMove(pid, u, v))
+    assert refused >= 50
 
 
 # sha256 over solve(...).to_json() of golden_corpus(), as computed by the
