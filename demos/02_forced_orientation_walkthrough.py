@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from graphbalance import generate_adversarial_path, reduce_instance, solve, SolveMode
 from graphbalance.general import Orientation, ThresholdsG, forced_orientations
-from graphbalance.push import initial_placement, movable_loads
+from graphbalance.push import PushState
 
 BETA = Fraction(7, 10)
 
@@ -26,9 +26,11 @@ print(f"push ceiling      floor((5/3 - 2b/3)t) = {thresholds.push_bound}")
 print(f"light-edge bound  ceil((2/3 + b/3)t)   = {thresholds.rule2_bound}")
 
 orientation = Orientation(context.graph)
-loads = movable_loads(context, initial_placement(context))
+loads = PushState(context).loads
 trace = []
-forced_orientations(context, orientation, loads, thresholds, trace=trace)
+forced_orientations(
+    context, orientation, loads, thresholds, context.graph.nodes, trace=trace
+)
 
 print("\ncascade:")
 for event in trace:

@@ -28,16 +28,7 @@ from .preprocess import (
     min_edge_load_into,
     orient_components,
 )
-from .push import (
-    CoreStats,
-    PushMove,
-    check_levels_monotone,
-    check_push_budget,
-    initial_placement,
-    movable_loads,
-    movables_by_machine,
-    potential_value,
-)
+from .push import CoreStats, PushMove, PushState, potential_value, push
 
 
 @dataclass(frozen=True)
@@ -99,19 +90,20 @@ class Orientation:
         return out
 
 
-def _overloaded(ctx, orient, ml, th) -> set[str]:
+def _overloaded(ctx, orient, loads, th) -> set[str]:
     return {
         v
         for v in ctx.machine_ids
-        if ctx.dedicated[v] + ml[v] + orient.in_load[v] > th.overload_bound
+        if ctx.dedicated[v] + loads[v] + orient.in_load[v] > th.overload_bound
     }
 
 
 def forced_orientations(
     ctx: GuessContext,
     orient: Orientation,
-    ml: dict[str, int],
+    loads: dict[str, int],
     th: ThresholdsG,
+    heads: tuple[str, ...],
     trace: list | None = None,
 ) -> None:
     """Cascade every orientation the loads force.
@@ -123,17 +115,19 @@ def forced_orientations(
 
     Loads only rise, and only at the head of a freshly directed edge, so a
     violation appears only when a head is loaded and disappears only when its
-    edge is directed.  One scan seeds a heap of ``(source, target, edge id)``
-    violators; each direction rescans just the new head, feeding both that
-    heap and the one of the current cascade's marked set; a popped entry is
-    stale exactly when its edge is no longer neutral.
+    edge is directed.  A scan of *heads*, the machines whose load rose since
+    the last fixpoint (every node on a fresh orientation), seeds a heap of
+    ``(source, target, edge id)`` violators; each direction rescans just the
+    new head into the heap of the current cascade's marked set, which is
+    drained before the next seed is popped; a popped entry is stale exactly
+    when its edge is no longer neutral.
     """
     bound = th.overload_bound
     head, in_load = orient.head, orient.in_load
     edge_of: dict[str, EdgeJob] = {}
 
     def violations(v: str) -> list[tuple[str, str, str]]:
-        room = bound - ctx.dedicated[v] - ml[v] - in_load[v]
+        room = bound - ctx.dedicated[v] - loads[v] - in_load[v]
         found = []
         for e in ctx.graph.incident(v):
             if e.weight > room and head[e.id] is None:
@@ -153,10 +147,9 @@ def forced_orientations(
         if trace is not None:
             trace.append({"event": "forced", "edge": e.id, "from": v, "to": u})
         for item in violations(u):
-            heappush(pending, item)
             heappush(marked, item)
 
-    pending = [item for v in ctx.graph.nodes for item in violations(v)]
+    pending = [item for v in heads for item in violations(v)]
     heapify(pending)
     while (hit := pop(pending)) is not None:
         marked: list[tuple[str, str, str]] = []
@@ -170,15 +163,13 @@ class ExploreResult:
     orientation: Orientation
     levels: dict[str, int]
     conflict: set[str]
-    movable_load: dict[str, int]    # per machine, under explore's placement
-    at: dict[str, list]             # movables per machine, sorted by id
     round_activated: list[list[str]] = field(default_factory=list)
     round_conflict: list[set[str]] = field(default_factory=list)
 
 
 def explore(
     ctx: GuessContext,
-    placement: dict[str, str],
+    state: PushState,
     th: ThresholdsG,
     fake_picker=None,
     trace: list | None = None,
@@ -192,16 +183,16 @@ def explore(
     orientations away from it, until neither applies; then the two activation
     rules run to a fixpoint.  The fake-orientation order (pluggable through
     *fake_picker*) does not affect the conflict sets or any edge outside them.
+    Loads and movables are read from *state*.
     """
-    ml = movable_loads(ctx, placement)
+    ml, at = state.loads, state.at
     orient = Orientation(ctx.graph)
-    forced_orientations(ctx, orient, ml, th, trace)
+    forced_orientations(ctx, orient, ml, th, ctx.graph.nodes, trace)
     overloaded0 = _overloaded(ctx, orient, ml, th)
 
     levels: dict[str, int] = {}
     conflict: set[str] = set()
-    at = movables_by_machine(ctx, placement)
-    result = ExploreResult(orient, levels, conflict, ml, at)
+    result = ExploreResult(orient, levels, conflict)
 
     def guard_overload() -> None:
         now = _overloaded(ctx, orient, ml, th)
@@ -258,7 +249,7 @@ def explore(
             orient.direct(e, u)
             if trace is not None:
                 trace.append({"event": "fake", "edge": e.id, "from": v, "to": u})
-            forced_orientations(ctx, orient, ml, th, trace)
+            forced_orientations(ctx, orient, ml, th, (u,), trace)
             guard_overload()
 
         while True:
@@ -306,7 +297,7 @@ def explore(
 
 def find_push_general(
     ctx: GuessContext,
-    placement: dict[str, str],
+    state: PushState,
     result: ExploreResult,
     th: ThresholdsG,
 ) -> PushMove | None:
@@ -315,13 +306,12 @@ def find_push_general(
     both on current load and against every father edge unless the target is
     a conflict-set leaf.
 
-    *result* must come from ``explore`` on *placement*; its loads and
-    per-machine movable lists are reused.  Sources and movables are walked in
-    id order, so the first hit is the least, and the target test, which
-    depends on the target alone, runs at most once per machine.
+    *result* must come from ``explore`` on *state*.  Sources and movables
+    are walked in id order, so the first hit is the least, and the target
+    test, which depends on the target alone, runs at most once per machine.
     """
     orient = result.orientation
-    ml = result.movable_load
+    ml = state.loads
     bound = th.push_bound
     by_level: dict[int, set[str]] = {}
     for v, lvl in result.levels.items():
@@ -344,7 +334,7 @@ def find_push_general(
         up = by_level.get(result.levels[u] + 1)
         if not up:
             continue
-        for p in result.at[u]:
+        for p in state.at[u]:
             for v in sorted(p.eligible & up):
                 if v not in verdict:
                     verdict[v] = accepts(v)
@@ -382,62 +372,52 @@ def run_general(
     if ctx.mode.value != "general":
         raise RegimeError("general core requires a general-mode context")
     th = ThresholdsG.make(ctx.t, beta)
-    placement = initial_placement(ctx)
+    state = PushState(ctx)
     stats = CoreStats()
-    prev_levels: dict[str, int] | None = None
-    prev_potential: int | None = None
-    iteration = 0
-    while True:
-        iteration += 1
+
+    def relabel(state: PushState) -> ExploreResult:
         mark = len(trace) if trace is not None else 0
-        result = explore(ctx, placement, th, trace=trace)
+        result = explore(ctx, state, th, trace=trace)
         if trace is not None:
             for event in trace[mark:]:
-                event.setdefault("iteration", iteration)
-        potential = potential_value(ctx, result.at, result.levels)
-        if prev_levels is not None:
-            check_levels_monotone(prev_levels, result.levels, ctx.machine_ids)
-            if potential >= prev_potential:
-                raise InvariantViolation(
-                    f"potential did not drop: {prev_potential} -> {potential}"
-                )
+                event.setdefault("iteration", state.pushes + 1)
+        state.levels = result.levels
+        state.potential = potential_value(ctx, state.at, result.levels)
+        return result
+
+    result = relabel(state)
+    while True:
         if not result.levels:
-            assignment = _finish(ctx, result, th, placement)
-            stats.makespan = _makespan(ctx, assignment)
-            return assignment, stats
-        move = find_push_general(ctx, placement, result, th)
+            stats.pushes = state.pushes
+            return _finish(ctx, state, result, th), stats
+        move = find_push_general(ctx, state, result, th)
         if move is None:
-            stats.declared = True
-            return _declaration(ctx, placement, result), stats
-        placement[move.movable_id] = move.target
-        stats.pushes += 1
-        check_push_budget(ctx, stats.pushes)
-        prev_levels = result.levels
-        prev_potential = potential
-        stats.potentials.append(potential)
+            stats.pushes = state.pushes
+            return _declaration(ctx, state, result), stats
+        stats.potentials.append(state.potential)
         if trace is not None:
             trace.append(
                 {
-                    "iteration": iteration,
+                    "iteration": state.pushes + 1,
                     "event": "push",
                     "movable": move.movable_id,
                     "from": move.source,
                     "to": move.target,
                 }
             )
+        result = push(state, move, relabel)
 
 
-def _finish(ctx, result, th, placement) -> dict[str, str]:
+def _finish(ctx, state, result, th) -> dict[str, str]:
     _complete_orientation(ctx, result.orientation)
-    assignment = dict(placement)
+    assignment = dict(state.placement)
     for e in ctx.graph.edges:
         head = result.orientation.head[e.id]
         if head is None:
             raise InvariantViolation(f"edge {e.id} left neutral")
         assignment[e.id] = head
-    ml = result.movable_load
     for v in ctx.machine_ids:
-        load = ctx.dedicated[v] + ml[v] + result.orientation.in_load[v]
+        load = state.total(v) + result.orientation.in_load[v]
         if load > th.overload_bound:
             raise InvariantViolation(
                 f"machine {v} finished at load {load} above the bound"
@@ -445,17 +425,7 @@ def _finish(ctx, result, th, placement) -> dict[str, str]:
     return assignment
 
 
-def _makespan(ctx, assignment) -> int:
-    weights = {p.id: p.weight for p in ctx.movables}
-    weights.update({e.id: e.weight for e in ctx.graph.edges})
-    loads = dict(ctx.dedicated)
-    for job, v in assignment.items():
-        loads[v] += weights[job]
-    return max(loads.values(), default=0)
-
-
-def _declaration(ctx, placement, result) -> Declaration:
-    ml = result.movable_load
+def _declaration(ctx, state, result) -> Declaration:
     activated = sorted(result.levels, key=ctx.index)
     forced = min_edge_load_into(ctx.graph, set(activated))
     payload = {
@@ -463,8 +433,8 @@ def _declaration(ctx, placement, result) -> Declaration:
         "activated": activated,
         "levels": dict(sorted(result.levels.items())),
         "conflict": sorted(result.conflict, key=ctx.index),
-        "placement": dict(sorted(placement.items())),
-        "pl": {v: ml[v] for v in ctx.machine_ids},
+        "placement": dict(sorted(state.placement.items())),
+        "pl": dict(state.loads),
         "dedicated": dict(ctx.dedicated),
         "min_edge_load": forced,
     }

@@ -77,7 +77,7 @@ def run_matching(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, CoreS
         makespan = max(loads.values(), default=0)
         if makespan > t:
             raise InvariantViolation(f"matching exceeded t={t} with {makespan}")
-        return dict(matched_job), CoreStats(makespan=makespan)
+        return dict(matched_job), CoreStats()
 
     # Alternating BFS from the unmatched job: every reachable machine is
     # matched, so the reachable jobs outnumber their joint neighborhood.
@@ -103,4 +103,4 @@ def run_matching(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, CoreS
         "neighborhood": sorted(neighborhood),
         **ctx.mode_payload(),
     }
-    return Declaration(t, HALL_VIOLATION, payload), CoreStats(declared=True)
+    return Declaration(t, HALL_VIOLATION, payload), CoreStats()

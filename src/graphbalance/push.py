@@ -11,10 +11,14 @@ pushes by #machines * #movables.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import InvariantViolation
 from .preprocess import GuessContext
+
+_by_id = attrgetter("id")
 
 
 @dataclass(frozen=True)
@@ -27,31 +31,52 @@ class PushMove:
 @dataclass
 class CoreStats:
     pushes: int = 0
-    declared: bool = False
-    makespan: int | None = None
     potentials: list[int] = field(default_factory=list)
 
 
-def initial_placement(ctx: GuessContext) -> dict[str, str]:
-    """Every movable starts on its lowest-indexed eligible machine."""
-    return {p.id: ctx.sorted_eligible(p)[0] for p in ctx.movables}
+class PushState:
+    """Where the movables sit, kept current by one ``move``.
 
+    ``placement`` maps each movable to its machine, ``loads`` holds each
+    machine's movable weight and ``at`` its movables sorted by id.  Every
+    movable starts on its lowest-indexed eligible machine unless *placement*
+    says otherwise.  ``levels`` and their ``potential`` are set by the core's
+    labeling; ``pushes`` counts the moves.
+    """
 
-def movable_loads(ctx: GuessContext, placement: dict[str, str]) -> dict[str, int]:
-    loads = {v: 0 for v in ctx.machine_ids}
-    weights = {p.id: p.weight for p in ctx.movables}
-    for pid, v in placement.items():
-        loads[v] += weights[pid]
-    return loads
+    def __init__(self, ctx: GuessContext, placement: dict[str, str] | None = None):
+        self.ctx = ctx
+        self.movable = {p.id: p for p in ctx.movables}
+        if placement is None:
+            placement = {p.id: ctx.sorted_eligible(p)[0] for p in ctx.movables}
+        self.placement = dict(placement)
+        self.loads = dict.fromkeys(ctx.machine_ids, 0)
+        self.at: dict[str, list] = {v: [] for v in ctx.machine_ids}
+        for p in ctx.movables:
+            v = self.placement[p.id]
+            self.loads[v] += p.weight
+            self.at[v].append(p)
+        for bucket in self.at.values():
+            bucket.sort(key=_by_id)
+        self.levels: dict[str, int] = {}
+        self.potential = 0
+        self.pushes = 0
 
+    def total(self, v: str) -> int:
+        return self.ctx.dedicated[v] + self.loads[v]
 
-def movables_by_machine(ctx: GuessContext, placement: dict[str, str]):
-    at: dict[str, list] = {v: [] for v in ctx.machine_ids}
-    for p in ctx.movables:
-        at[placement[p.id]].append(p)
-    for bucket in at.values():
-        bucket.sort(key=lambda p: p.id)
-    return at
+    def move(self, pid: str, target: str) -> str:
+        """Place movable *pid* on *target*; returns the machine it left."""
+        p = self.movable[pid]
+        source = self.placement[pid]
+        self.placement[pid] = target
+        self.loads[source] -= p.weight
+        self.loads[target] += p.weight
+        bucket = self.at[source]
+        del bucket[bisect_left(bucket, pid, key=_by_id)]
+        insort(self.at[target], p, key=_by_id)
+        self.pushes += 1
+        return source
 
 
 def potential_value(
@@ -62,27 +87,34 @@ def potential_value(
     return sum((n - lvl) * len(at[v]) for v, lvl in levels.items())
 
 
-def check_levels_monotone(
-    old: dict[str, int], new: dict[str, int], machines
-) -> None:
-    """Each machine's level may only rise across a push (absent = infinite)."""
-    for v in machines:
-        before = old.get(v)
-        after = new.get(v)
-        if before is None:
-            if after is not None:
-                raise InvariantViolation(
-                    f"level of {v} dropped from unlabeled to {after} across a push"
-                )
-        elif after is not None and after < before:
+def push(state: PushState, move: PushMove, relabel):
+    """Make *move*, relabel, and hold the rule that bounds the pushes.
+
+    ``relabel(state)`` must set ``state.levels`` and ``state.potential``;
+    its result is returned.  No level may drop (a machine labeled now was
+    labeled before, no higher), the potential must strictly drop, and the
+    pushes must stay within #machines * #movables; a breach means the state
+    is corrupt.
+    """
+    old_levels, old_potential = state.levels, state.potential
+    state.move(move.movable_id, move.target)
+    result = relabel(state)
+    for v, after in state.levels.items():
+        before = old_levels.get(v)
+        if before is None or before > after:
             raise InvariantViolation(
-                f"level of {v} dropped from {before} to {after} across a push"
+                f"level of {v} dropped from "
+                f"{'unlabeled' if before is None else before} to {after} "
+                "across a push"
             )
-
-
-def check_push_budget(ctx: GuessContext, pushes: int) -> None:
-    cap = len(ctx.machine_ids) * max(len(ctx.movables), 1)
-    if pushes > cap:
+    if state.potential >= old_potential:
         raise InvariantViolation(
-            f"{pushes} pushes exceed the potential bound {cap}"
+            f"potential did not drop: {old_potential} -> {state.potential}"
         )
+    ctx = state.ctx
+    cap = len(ctx.machine_ids) * max(len(ctx.movables), 1)
+    if state.pushes > cap:
+        raise InvariantViolation(
+            f"{state.pushes} pushes exceed the potential bound {cap}"
+        )
+    return result

@@ -24,24 +24,21 @@ def run_relief(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, CoreSta
     if network is None or not network.serves(ctx):
         network = ctx.cache["relief"] = _FlowNetwork(ctx)
     items = network.items
-    stats = CoreStats()
     if not items:
         makespan = max(ctx.dedicated.values(), default=0)
         if makespan > t:
             raise InvariantViolation(f"dedicated load {makespan} exceeds t={t}")
-        stats.makespan = makespan
-        return {}, stats
+        return {}, CoreStats()
 
     feasible, result = network.check(ctx, t)
     if not feasible:
         cut_machines, captive = result
-        stats.declared = True
         payload = {
             "cut": cut_machines,
             "captive_jobs": captive,
             **ctx.mode_payload(),
         }
-        return Declaration(t, PREFLOW_HEIGHT, payload), stats
+        return Declaration(t, PREFLOW_HEIGHT, payload), CoreStats()
 
     assignment = _round_flow(ctx, t, items, result)
     weight = {jid: w for jid, w, _ in items}
@@ -52,8 +49,7 @@ def run_relief(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, CoreSta
     cap = t + max(weight.values()) - 1
     if makespan > cap:
         raise InvariantViolation(f"rounded flow reached {makespan} above {cap}")
-    stats.makespan = makespan
-    return assignment, stats
+    return assignment, CoreStats()
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,8 @@ edge per node) or no push applies (declaration that the guess is too low).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import IntEnum
-from operator import attrgetter
 
 from .errors import InvariantViolation, RegimeError, StaleMoveError
 from .preprocess import (
@@ -24,18 +22,7 @@ from .preprocess import (
     GuessContext,
     orient_components,
 )
-from .push import (
-    CoreStats,
-    PushMove,
-    check_levels_monotone,
-    check_push_budget,
-    initial_placement,
-    movable_loads,
-    movables_by_machine,
-    potential_value,
-)
-
-_by_id = attrgetter("id")
+from .push import CoreStats, PushMove, PushState, potential_value, push
 
 
 class NodeClass(IntEnum):
@@ -72,25 +59,19 @@ class Thresholds:
         return Thresholds(base - heavy - light, base - heavy, base, base, "improved")
 
 
-class TwoValuedState:
-    """Mutable solve state: placement, loads, level labels, and what the
-    labeling reads from them.
+class TwoValuedState(PushState):
+    """The push state plus what the labeling reads from it.
 
-    ``at`` lists each machine's movables by id, ``classes`` holds every
-    machine's class, ``hot[i]`` the tight-or-worse machines of component
-    ``i`` and ``stuck[i]`` its status.  ``move`` keeps all of them current,
-    so nothing is rebuilt between pushes.  ``levels`` and their
-    ``potential`` are set by ``label_levels``.
+    ``classes`` holds every machine's class, ``hot[i]`` the tight-or-worse
+    machines of component ``i`` and ``stuck[i]`` its status.  ``move`` keeps
+    them current, so nothing is rebuilt between pushes.  ``levels`` and
+    their ``potential`` are set by ``label_levels``.
     """
 
     def __init__(self, ctx: GuessContext, thresholds: Thresholds,
                  placement: dict[str, str] | None = None):
-        self.ctx = ctx
+        super().__init__(ctx, placement)
         self.thresholds = thresholds
-        self.placement = dict(placement) if placement else initial_placement(ctx)
-        self.loads = movable_loads(ctx, self.placement)
-        self.at = movables_by_machine(ctx, self.placement)
-        self.movable = {p.id: p for p in ctx.movables}
         self.components = ctx.graph.components()
         self.comp_index = {
             v: i for i, comp in enumerate(self.components) for v in comp.nodes
@@ -104,27 +85,14 @@ class TwoValuedState:
             for comp in self.components
         ]
         self.stuck = [self._stuck_at(i) for i in range(len(self.components))]
-        self.levels: dict[str, int] = {}
-        self.potential = 0
-        self.push_count = 0
-
-    def total(self, v: str) -> int:
-        return self.ctx.dedicated[v] + self.loads[v]
 
     def _stuck_at(self, i: int) -> bool:
         return _stuck(self.components[i].kind, [self.classes[v] for v in self.hot[i]])
 
-    def move(self, pid: str, target: str) -> None:
+    def move(self, pid: str, target: str) -> str:
         """Place movable *pid* on *target*; reclassify only the two machines
         it touches and re-derive only their components' status."""
-        p = self.movable[pid]
-        source = self.placement[pid]
-        self.placement[pid] = target
-        self.loads[source] -= p.weight
-        self.loads[target] += p.weight
-        bucket = self.at[source]
-        del bucket[bisect_left(bucket, pid, key=_by_id)]
-        insort(self.at[target], p, key=_by_id)
+        source = super().move(pid, target)
         for v in (source, target):
             c = classify_node(v, self)
             self.classes[v] = c
@@ -135,6 +103,7 @@ class TwoValuedState:
                 hot.discard(v)
         for i in {self.comp_index[source], self.comp_index[target]}:
             self.stuck[i] = self._stuck_at(i)
+        return source
 
 
 def classify_node(v: str, state: TwoValuedState, extra: int = 0) -> NodeClass:
@@ -289,16 +258,8 @@ def apply_push(state: TwoValuedState, move: PushMove) -> int:
         if lvl < level
     ):
         raise StaleMoveError(f"push {move} is not from the least level with a push")
-    old_levels, old_potential = state.levels, state.potential
-    state.move(move.movable_id, move.target)
-    label_levels(state)
-    check_levels_monotone(old_levels, state.levels, state.ctx.machine_ids)
-    if state.potential >= old_potential:
-        raise InvariantViolation(
-            f"potential did not drop: {old_potential} -> {state.potential}"
-        )
-    state.push_count += 1
-    check_push_budget(state.ctx, state.push_count)
+    old_potential = state.potential
+    push(state, move, label_levels)
     return old_potential
 
 
@@ -313,22 +274,19 @@ def _orient_and_assign(state: TwoValuedState) -> dict[str, str]:
         return tight[0] if tight else min(comp.nodes, key=ctx.index)
 
     heads = orient_components(ctx.graph, root_of)
-    assignment = {**state.placement, **heads}
-    incoming = {v: 0 for v in ctx.machine_ids}
-    for head in heads.values():
+    incoming = dict.fromkeys(ctx.machine_ids, 0)
+    final = {v: state.total(v) for v in ctx.machine_ids}
+    for e in ctx.graph.edges:
+        head = heads[e.id]
         incoming[head] += 1
+        final[head] += e.weight
     bound = state.thresholds.makespan_bound
-    weight = {e.id: e.weight for e in ctx.graph.edges}
-    weight.update((pid, p.weight) for pid, p in state.movable.items())
-    final = dict(ctx.dedicated)
-    for job, v in assignment.items():
-        final[v] += weight[job]
     for v in ctx.machine_ids:
         if incoming[v] > 1 or final[v] > bound:
             raise InvariantViolation(
                 f"machine {v} ended with {incoming[v]} edge jobs and load {final[v]}"
             )
-    return assignment
+    return {**state.placement, **heads}
 
 
 def _declaration(state: TwoValuedState) -> Declaration:
@@ -339,7 +297,7 @@ def _declaration(state: TwoValuedState) -> Declaration:
         "activated": sorted(state.levels, key=ctx.index),
         "levels": dict(sorted(state.levels.items())),
         "placement": dict(sorted(state.placement.items())),
-        "pl": {v: state.loads[v] for v in ctx.machine_ids},
+        "pl": dict(state.loads),
         "dedicated": dict(ctx.dedicated),
         "components": [
             {"nodes": list(comp.nodes), "kind": comp.kind, "stuck": stuck}
@@ -355,7 +313,6 @@ def run_two_valued(
     """Push until no component is stuck, or declare the guess too low."""
     stats = CoreStats()
     if not ctx.movables and not ctx.graph.edges:
-        stats.makespan = max(ctx.dedicated.values(), default=0)
         return {}, stats
     heavy, light = ctx.heavy_weight, ctx.light_weight
     if heavy is None:
@@ -379,13 +336,11 @@ def run_two_valued(
     rounds = 0
     while True:
         if not any(state.stuck):
-            assignment = _orient_and_assign(state)
-            stats.pushes = state.push_count
-            return assignment, stats
+            stats.pushes = state.pushes
+            return _orient_and_assign(state), stats
         move = find_push(state)
         if move is None:
-            stats.pushes = state.push_count
-            stats.declared = True
+            stats.pushes = state.pushes
             return _declaration(state), stats
         stats.potentials.append(apply_push(state, move))
         rounds += 1

@@ -28,7 +28,7 @@ from graphbalance import (
 )
 from graphbalance.general import Orientation, ThresholdsG, explore, forced_orientations
 from graphbalance.matching import run_matching
-from graphbalance.push import initial_placement, movable_loads
+from graphbalance.push import PushState
 
 from conftest import loaded_general, loaded_two_valued, unit_regime
 from test_preprocess import enumerate_min_into
@@ -220,7 +220,7 @@ def test_criterion_06_fake_orientation_order_independence():
             return lambda candidates: rand.choice(candidates)
 
         runs = [
-            explore(ctx, dict(placement), th, fake_picker=picker(random.Random(seed * 5 + i)))
+            explore(ctx, PushState(ctx, placement), th, fake_picker=picker(random.Random(seed * 5 + i)))
             for i in (1, 2)
         ]
         assert runs[0].round_conflict == runs[1].round_conflict
@@ -317,8 +317,8 @@ def test_criterion_09_worked_adversarial_fixture():
     ctx = reduce_instance(inst, 100, SolveMode.GENERAL, beta)
     assert not isinstance(ctx, Declaration)
     orient = Orientation(ctx.graph)
-    loads = movable_loads(ctx, initial_placement(ctx))
-    forced_orientations(ctx, orient, loads, ThresholdsG.make(100, beta))
+    loads = PushState(ctx).loads
+    forced_orientations(ctx, orient, loads, ThresholdsG.make(100, beta), ctx.graph.nodes)
     assert orient.head == {"r0": "p1", "r1": "p2", "r2": "p3"}, (
         "all three edge jobs must point away from the loaded end"
     )

@@ -27,12 +27,7 @@ from graphbalance.general import (
     forced_orientations,
     run_general,
 )
-from graphbalance.push import (
-    PushMove,
-    initial_placement,
-    movable_loads,
-    movables_by_machine,
-)
+from graphbalance.push import PushMove, PushState
 
 from conftest import build, loaded_general
 
@@ -94,8 +89,8 @@ def rescanning_forced(ctx, orient, ml, th, trace=None):
 def rescanning_find_push(ctx, placement, result, th):
     """Reference push search: test every (source, movable, target) triple
     against loads rebuilt from *placement*, keep the least key."""
-    ml = movable_loads(ctx, placement)
-    at = movables_by_machine(ctx, placement)
+    fresh = PushState(ctx, placement)
+    ml, at = fresh.loads, fresh.at
     orient = result.orientation
     best = None
     for u, lvl in result.levels.items():
@@ -156,8 +151,8 @@ class TestForcedOrientations:
         ctx = reduce_instance(inst, 100, SolveMode.GENERAL, BETA)
         th = ThresholdsG.make(100, BETA)
         orient = Orientation(ctx.graph)
-        ml = movable_loads(ctx, initial_placement(ctx))
-        forced_orientations(ctx, orient, ml, th)
+        ml = PushState(ctx).loads
+        forced_orientations(ctx, orient, ml, th, ctx.graph.nodes)
         # 100 + 96 = 196 > 190 forces the first edge, then the cascade
         assert orient.head == {"r0": "p1", "r1": "p2", "r2": "p3"}
 
@@ -169,8 +164,8 @@ class TestForcedOrientations:
         )
         th = ThresholdsG.make(100, BETA)
         orient = Orientation(ctx.graph)
-        ml = movable_loads(ctx, initial_placement(ctx))
-        forced_orientations(ctx, orient, ml, th)
+        ml = PushState(ctx).loads
+        forced_orientations(ctx, orient, ml, th, ctx.graph.nodes)
         assert all(h is None for h in orient.head.values())
 
     @pytest.mark.parametrize("seed", range(40))
@@ -182,10 +177,10 @@ class TestForcedOrientations:
             return
         th = ThresholdsG.make(t, BETA)
         orient = Orientation(ctx.graph)
-        ml = movable_loads(ctx, initial_placement(ctx))
-        forced_orientations(ctx, orient, ml, th)
+        ml = PushState(ctx).loads
+        forced_orientations(ctx, orient, ml, th, ctx.graph.nodes)
         snapshot = dict(orient.head)
-        forced_orientations(ctx, orient, ml, th)
+        forced_orientations(ctx, orient, ml, th, ctx.graph.nodes)
         assert orient.head == snapshot
 
 
@@ -243,7 +238,7 @@ class TestAgainstRescanningReference:
         for ctx, beta, rng in seeded_contexts():
             contexts += 1
             placement = {p.id: rng.choice(ctx.sorted_eligible(p)) for p in ctx.movables}
-            ml = movable_loads(ctx, placement)
+            ml = PushState(ctx, placement).loads
             fast, slow = Orientation(ctx.graph), Orientation(ctx.graph)
             for e in ctx.graph.edges:
                 if rng.random() < 0.5:
@@ -251,7 +246,9 @@ class TestAgainstRescanningReference:
                     fast.direct(e, head)
                     slow.direct(e, head)
             fast_trace, slow_trace = [], []
-            forced_orientations(ctx, fast, ml, ThresholdsG.make(ctx.t, beta), fast_trace)
+            forced_orientations(
+                ctx, fast, ml, ThresholdsG.make(ctx.t, beta), ctx.graph.nodes, fast_trace
+            )
             rescanning_forced(ctx, slow, ml, exact_thresholds(ctx.t, beta), slow_trace)
             assert fast.head == slow.head
             assert fast.in_load == slow.in_load
@@ -264,18 +261,68 @@ class TestAgainstRescanningReference:
         for ctx, beta, rng in seeded_contexts():
             contexts += 1
             placement = {p.id: rng.choice(ctx.sorted_eligible(p)) for p in ctx.movables}
+            state = PushState(ctx, placement)
             result = explore(
                 ctx,
-                dict(placement),
+                state,
                 ThresholdsG.make(ctx.t, beta),
                 fake_picker=lambda candidates: rng.choice(candidates),
             )
-            move = find_push_general(ctx, placement, result, ThresholdsG.make(ctx.t, beta))
+            move = find_push_general(ctx, state, result, ThresholdsG.make(ctx.t, beta))
             assert move == rescanning_find_push(
                 ctx, placement, result, exact_thresholds(ctx.t, beta)
             )
             pushes += move is not None
         assert contexts >= 280 and pushes >= 60
+
+    def test_head_seeded_cascade_after_each_fake(self):
+        """From a fixpoint, directing one neutral edge can only leave its
+        head in violation, so seeding the cascade with that head alone
+        matches seeding it with every node."""
+        steps = cascades = 0
+        for ctx, beta, rng in seeded_contexts():
+            placement = {p.id: rng.choice(ctx.sorted_eligible(p)) for p in ctx.movables}
+            ml = PushState(ctx, placement).loads
+            th = ThresholdsG.make(ctx.t, beta)
+            fast, slow = Orientation(ctx.graph), Orientation(ctx.graph)
+            forced_orientations(ctx, fast, ml, th, ctx.graph.nodes)
+            forced_orientations(ctx, slow, ml, th, ctx.graph.nodes)
+            while neutral := [e for e in ctx.graph.edges if fast.neutral(e)]:
+                e = rng.choice(neutral)
+                head = rng.choice((e.u, e.v))
+                fast.direct(e, head)
+                slow.direct(e, head)
+                fast_trace, slow_trace = [], []
+                forced_orientations(ctx, fast, ml, th, (head,), fast_trace)
+                forced_orientations(ctx, slow, ml, th, ctx.graph.nodes, slow_trace)
+                assert fast.head == slow.head
+                assert fast.in_load == slow.in_load
+                assert fast_trace == slow_trace
+                steps += 1
+                cascades += bool(slow_trace)
+        assert steps >= 300 and cascades >= 80
+
+
+class TestPushState:
+    def test_moves_match_a_fresh_state(self):
+        """Random moves keep the incremental loads and sorted movable lists
+        equal to a state built from scratch on the same placement."""
+        moves = 0
+        for ctx, _, rng in seeded_contexts():
+            if not ctx.movables:
+                continue
+            placement = {p.id: rng.choice(ctx.sorted_eligible(p)) for p in ctx.movables}
+            state = PushState(ctx, placement)
+            for count in range(1, 11):
+                p = rng.choice(ctx.movables)
+                source = state.placement[p.id]
+                assert state.move(p.id, rng.choice(ctx.sorted_eligible(p))) == source
+                fresh = PushState(ctx, state.placement)
+                assert state.loads == fresh.loads
+                assert state.at == fresh.at
+                assert state.pushes == count
+                moves += 1
+        assert moves >= 2000
 
 
 # sha256 over solve(...).to_json() of golden_corpus(), as computed by the
@@ -311,13 +358,17 @@ class TestExplore:
         ctx = general_ctx(
             [("a", 0), ("b", 0)], [("r", 90, ["a", "b"]), ("l", 10, ["a", "b"])], t=100
         )
-        result = explore(ctx, initial_placement(ctx), ThresholdsG.make(100, BETA))
+        result = explore(ctx, PushState(ctx), ThresholdsG.make(100, BETA))
         assert result.levels == {} and result.conflict == set()
 
     def test_rule1_activates_forced_tail(self):
-        # b holds 95 and its father edge weighs 96: 95 + 96 = 191 > 190.
-        # a is overloaded (200 > 190) and forces ba toward a?  No: the edge
-        # cascades away from b first; build it so the conflict reaches b.
+        # a (95) forces e1 toward b, b forces e2 toward c and big toward d;
+        # c ends at 95 + 96 = 191 > 190 and seeds the conflict set, which
+        # absorbs b and then a along their father edges.  a's own father
+        # edge overloads it (95 + 96 > 190): rule 1.  b's one father edge
+        # into the conflict set, e2, is far from overloading it (0 + 96),
+        # and its labeled neighbors a and c sit across 96 edges, not below
+        # the rule-2 bound 90, so neither rule reaches it.
         ctx = general_ctx(
             [("a", 95), ("b", 0), ("c", 95), ("d", 14)],
             [
@@ -328,23 +379,38 @@ class TestExplore:
             t=100,
         )
         th = ThresholdsG.make(100, BETA)
-        result = explore(ctx, initial_placement(ctx), th)
-        # a: 95+96 > 190 forces e1 toward b; c likewise forces e2 toward b;
-        # b then carries 192 + big边... the overload seeds the conflict set
-        assert result.levels  # something is overloaded and activated
+        trace = []
+        result = explore(ctx, PushState(ctx), th, trace=trace)
+        assert result.levels == {"a": 0, "c": 0}
+        assert result.conflict == {"a", "b", "c"}
+        activations = [e for e in trace if e["event"].startswith("activate")]
+        assert activations == [{"event": "activate_r1", "machine": "a"}]
 
     def test_rule2_spreads_across_light_edge(self):
-        # activated u adjacent in the conflict set via an 89-weight edge
-        # (89 < 90 = rule-2 bound) activates v as well
+        # a (95) forces e1 toward b; b then holds 20 + 96 and cannot take
+        # e2 as well, so e2 points at c, which the movable l overloads
+        # (100 + 11 + 80 > 190).  b joins the conflict set along e2 but
+        # rule 1 misses it (20 + 80 <= 190); its labeled neighbor c sits
+        # across e2, lighter than the rule-2 bound (80 < 90): rule 2.
         ctx = general_ctx(
-            [("a", 100), ("b", 94), ("c", 0)],
-            [("e1", 96, ["a", "b"]), ("e2", 89, ["b", "c"])],
+            [("a", 95), ("b", 20), ("c", 100), ("d", 0)],
+            [
+                ("e1", 96, ["a", "b"]),
+                ("e2", 80, ["b", "c"]),
+                ("l", 11, ["c", "d"]),
+            ],
             t=100,
         )
         th = ThresholdsG.make(100, BETA)
-        result = explore(ctx, initial_placement(ctx), th)
-        if "c" in result.conflict and "b" in result.levels:
-            assert "c" in result.levels or ThresholdsG.make(100, BETA)
+        trace = []
+        result = explore(ctx, PushState(ctx), th, trace=trace)
+        assert result.orientation.head == {"e1": "b", "e2": "c"}
+        assert result.levels == {"c": 0, "a": 0, "b": 0, "d": 1}
+        activations = [e for e in trace if e["event"].startswith("activate")]
+        assert activations == [
+            {"event": "activate_r1", "machine": "a"},
+            {"event": "activate_r2", "machine": "b"},
+        ]
 
 
 class TestOrderIndependence:
@@ -366,8 +432,9 @@ class TestOrderIndependence:
         def picker(rng_pick):
             return lambda candidates: rng_pick.choice(candidates)
 
-        first = explore(ctx, dict(placement), th, fake_picker=picker(random.Random(seed * 3 + 1)))
-        second = explore(ctx, dict(placement), th, fake_picker=picker(random.Random(seed * 7 + 2)))
+        state = PushState(ctx, placement)
+        first = explore(ctx, state, th, fake_picker=picker(random.Random(seed * 3 + 1)))
+        second = explore(ctx, state, th, fake_picker=picker(random.Random(seed * 7 + 2)))
         assert first.round_conflict == second.round_conflict
         assert first.conflict == second.conflict
         for e in ctx.graph.edges:
@@ -391,11 +458,11 @@ class TestPushConditions:
             )
             th = ThresholdsG.make(100, BETA)
             # a carries 240 > 190; b sits at exactly 120 + extra
-            placement = {"l1": "a", "l2": "a", "lb": "b"}
-            result = explore(ctx, placement, th)
+            state = PushState(ctx, {"l1": "a", "l2": "a", "lb": "b"})
+            result = explore(ctx, state, th)
             assert result.levels.get("a") == 0
             assert result.levels.get("b") == 1
-            move = find_push_general(ctx, placement, result, th)
+            move = find_push_general(ctx, state, result, th)
             if expect:
                 assert move is not None and move.target == "b"
             else:
@@ -418,14 +485,14 @@ class TestPushConditions:
             t=100,
         )
         th = ThresholdsG.make(100, BETA)
-        placement = {"l1": "a", "l2": "a", "l3": "a", "lx": "x"}
-        result = explore(ctx, placement, th)
+        state = PushState(ctx, {"l1": "a", "l2": "a", "l3": "a", "lx": "x"})
+        result = explore(ctx, state, th)
         assert result.orientation.head == {"e1": "v", "e2": "u"}
         assert result.levels == {"a": 0, "x": 1, "v": 1, "u": 1}
         # v passes the plain load ceiling: 21 + 0 + 96 = 117 <= 120
         assert ctx.dedicated["v"] + result.orientation.in_load["v"] <= th.push_bound
         # but its conflict-set father edge e2 weighs 100: 21 + 100 > 120
-        assert find_push_general(ctx, placement, result, th) is None
+        assert find_push_general(ctx, state, result, th) is None
 
 
 class TestRunCore:

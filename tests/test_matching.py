@@ -33,7 +33,8 @@ def test_long_chain_needs_no_recursion():
     ctx = reduced([(v, 0) for v in ids], jobs, t=10)
     result, stats = run_matching(ctx)
     assert not isinstance(result, Declaration)
-    assert stats.makespan == 10
+    valid, makespan = verify_solution(ctx.instance, ctx.expand(result))
+    assert valid and makespan == 10
     assert sorted(result.values()) == ids
 
 
@@ -46,7 +47,8 @@ def test_two_jobs_two_machines():
     result, stats = run_matching(ctx)
     assert not isinstance(result, Declaration)
     assert sorted(result.values()) == ["a", "b"]
-    assert stats.makespan == 5
+    valid, makespan = verify_solution(ctx.instance, ctx.expand(result))
+    assert valid and makespan == 5
 
 
 def test_three_jobs_on_two_machines_pigeonhole():

@@ -21,12 +21,7 @@ from graphbalance import (
     validate,
     verify_solution,
 )
-from graphbalance.push import (
-    PushMove,
-    movable_loads,
-    movables_by_machine,
-    potential_value,
-)
+from graphbalance.push import PushMove, PushState, potential_value
 from graphbalance.two_valued import (
     NodeClass,
     Thresholds,
@@ -62,7 +57,7 @@ def exact_class(total, th):
 
 def rescanning_classes(state, th, extra=None):
     """Every machine's class from loads rebuilt out of the placement."""
-    loads = movable_loads(state.ctx, state.placement)
+    loads = PushState(state.ctx, state.placement).loads
     classes = {
         v: exact_class(state.ctx.dedicated[v] + loads[v], th)
         for v in state.ctx.machine_ids
@@ -96,7 +91,7 @@ def rescanning_label_levels(state, th):
         if classes[v] >= NodeClass.TIGHT and stuck[id(state.component_of[v])]
     }
     labeled = set(levels)
-    at = movables_by_machine(ctx, state.placement)
+    at = PushState(ctx, state.placement).at
     level = 0
     while True:
         level += 1
@@ -136,7 +131,7 @@ def rescanning_accepts(state, th, v):
 
 def rescanning_pushes(state, levels, th):
     """Every valid push as ``(level, source, movable, target)``."""
-    at = movables_by_machine(state.ctx, state.placement)
+    at = PushState(state.ctx, state.placement).at
     return sorted(
         (lvl, u, p.id, v)
         for u, lvl in levels.items()
@@ -475,15 +470,16 @@ class TestAgainstRescanningReference:
             label_levels(state)
             for _ in range(25):
                 fresh = {v: classify_node(v, state) for v in ctx.machine_ids}
-                assert state.loads == movable_loads(ctx, state.placement)
-                assert state.at == movables_by_machine(ctx, state.placement)
+                reference = PushState(ctx, state.placement)
+                assert state.loads == reference.loads
+                assert state.at == reference.at
                 assert state.classes == fresh == rescanning_classes(state, exact)
                 assert state.stuck == [
                     component_is_stuck(comp, fresh) for comp in state.components
                 ]
                 assert state.levels == rescanning_label_levels(state, exact)
                 assert state.potential == potential_value(
-                    ctx, movables_by_machine(ctx, state.placement), state.levels
+                    ctx, reference.at, state.levels
                 )
                 candidates = rescanning_pushes(state, state.levels, exact)
                 if not candidates:
@@ -503,7 +499,7 @@ class TestAgainstRescanningReference:
 def observable_state(state):
     return copy.deepcopy(
         (state.placement, state.loads, state.at, state.classes, state.hot,
-         state.stuck, state.levels, state.potential, state.push_count)
+         state.stuck, state.levels, state.potential, state.pushes)
     )
 
 
