@@ -15,37 +15,39 @@ from graphbalance.cli import main
 
 
 def run_demo() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="graphbalance-demo-"))
-    corpus = workdir / "corpus"
-    corpus.mkdir()
+    with tempfile.TemporaryDirectory(prefix="graphbalance-demo-") as tmp:
+        workdir = Path(tmp)
+        corpus = workdir / "corpus"
+        corpus.mkdir()
 
-    print(f"writing corpus under {corpus}")
-    for seed in range(8):
-        code = main(
-            [
-                "generate", "two-valued",
-                "--m", "5", "--heavy", "3", "--light", "6",
-                "--W", "12", "--w", "5",
-                "--seed", str(seed),
-                "--out", str(corpus / f"two_valued_{seed}.json"),
-            ]
-        )
-        assert code == 0
-    for seed in range(4):
-        code = main(
-            [
-                "generate", "general",
-                "--m", "4", "--n", "8", "--beta", "7/10", "--Wmax", "15",
-                "--seed", str(seed),
-                "--out", str(corpus / f"general_{seed}.json"),
-            ]
-        )
-        assert code == 0
+        print(f"writing corpus under {corpus}")
+        for seed in range(8):
+            code = main(
+                [
+                    "generate", "two-valued",
+                    "--m", "5", "--heavy", "3", "--light", "6",
+                    "--W", "12", "--w", "5",
+                    "--seed", str(seed),
+                    "--out", str(corpus / f"two_valued_{seed}.json"),
+                ]
+            )
+            assert code == 0
+        for seed in range(4):
+            code = main(
+                [
+                    "generate", "general",
+                    "--m", "4", "--n", "8", "--beta", "7/10", "--Wmax", "15",
+                    "--seed", str(seed),
+                    "--out", str(corpus / f"general_{seed}.json"),
+                ]
+            )
+            assert code == 0
 
-    report = workdir / "bench.csv"
-    assert main(["bench", "--dir", str(corpus), "--jobs", "4", "--out", str(report)]) == 0
+        report = workdir / "bench.csv"
+        assert main(["bench", "--dir", str(corpus), "--jobs", "4", "--out", str(report)]) == 0
 
-    rows = list(csv.DictReader(report.read_text().splitlines()))
+        rows = list(csv.DictReader(report.read_text().splitlines()))
+
     print(f"\n{len(rows)} instances benchmarked")
     header = f"{'instance':<22} {'makespan':>8} {'t*':>4} {'lb':>4} {'ratio':>7} {'cores':>5} {'pushes':>6}"
     print(header)

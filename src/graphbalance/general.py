@@ -54,13 +54,15 @@ class ThresholdsG:
 
 
 class Orientation:
-    """Mutable edge directions; ``head[e]`` is None while e is neutral."""
+    """Mutable edge directions; ``head[e]`` is None while e is neutral, and
+    ``log`` lists every ``(edge, head)`` direction in the order made."""
 
     def __init__(self, graph):
         self.graph = graph
         self.head: dict[str, str | None] = {e.id: None for e in graph.edges}
         self.in_load: dict[str, int] = {v: 0 for v in graph.nodes}
         self.in_degree: dict[str, int] = {v: 0 for v in graph.nodes}
+        self.log: list[tuple[EdgeJob, str]] = []
 
     def direct(self, edge: EdgeJob, head: str) -> None:
         if self.head[edge.id] is not None or head not in (edge.u, edge.v):
@@ -68,6 +70,7 @@ class Orientation:
         self.head[edge.id] = head
         self.in_load[head] += edge.weight
         self.in_degree[head] += 1
+        self.log.append((edge, head))
 
     def neutral(self, edge: EdgeJob) -> bool:
         return self.head[edge.id] is None
@@ -167,6 +170,30 @@ class ExploreResult:
     round_conflict: list[set[str]] = field(default_factory=list)
 
 
+class _ExploreBasis:
+    """What ``explore`` reads of one reduced state besides the placement:
+    each movable's eligible machines as a bitmask with bit ``ctx.index(v)``
+    set for every eligible v, and each edge's position in ``graph.edges``,
+    the last key of the fake-orientation order."""
+
+    def __init__(self, ctx: GuessContext):
+        self.movables, self.graph = ctx.movables, ctx.graph
+        self.mask = {
+            p.id: sum(1 << ctx.index(v) for v in p.eligible) for p in ctx.movables
+        }
+        self.position = {e.id: i for i, e in enumerate(ctx.graph.edges)}
+
+    def serves(self, ctx: GuessContext) -> bool:
+        return self.movables is ctx.movables and self.graph is ctx.graph
+
+
+def _explore_basis(ctx: GuessContext) -> _ExploreBasis:
+    basis = ctx.cache.get("general")
+    if basis is None or not basis.serves(ctx):
+        basis = ctx.cache["general"] = _ExploreBasis(ctx)
+    return basis
+
+
 def explore(
     ctx: GuessContext,
     state: PushState,
@@ -184,113 +211,150 @@ def explore(
     rules run to a fixpoint.  The fake-orientation order (pluggable through
     *fake_picker*) does not affect the conflict sets or any edge outside them.
     Loads and movables are read from *state*.
+
+    Each round touches only what changed.  The machines a round reaches are
+    the OR of the eligibility masks of the movables on the previous round's
+    activated machines, minus the labeled ones.  Edges are directed once
+    and the conflict set only grows, so a machine's incident edges are
+    scanned once, when it joins: each neutral one becomes a fake candidate
+    (popped lazily once directed), each one pointing into it makes its tail
+    absorbable.  After a fake and its cascade, only the new entries of
+    ``orientation.log`` can point into the conflict set or overload a head.
+    Rule 1 does not depend on the levels, so after the first activation pass
+    rule 2 can only fire across a light directed edge from a machine the
+    previous pass activated.
     """
+    basis = _explore_basis(ctx)
     ml, at = state.loads, state.at
-    orient = Orientation(ctx.graph)
-    forced_orientations(ctx, orient, ml, th, ctx.graph.nodes, trace)
+    graph, index, machine_ids = ctx.graph, ctx.index, ctx.machine_ids
+    orient = Orientation(graph)
+    head, in_load = orient.head, orient.in_load
+    forced_orientations(ctx, orient, ml, th, graph.nodes, trace)
     overloaded0 = _overloaded(ctx, orient, ml, th)
 
     levels: dict[str, int] = {}
     conflict: set[str] = set()
     result = ExploreResult(orient, levels, conflict)
+    labeled = 0  # bit index(v) for every v in levels
+    # (tail in the conflict set, head, edge position, edge); stale once
+    # the edge is directed
+    fakes: list[tuple[str, str, int, EdgeJob]] = []
+    absorbable: set[str] = set()  # tails of edges directed into the conflict set
 
-    def guard_overload() -> None:
-        now = _overloaded(ctx, orient, ml, th)
-        if not now <= overloaded0:
-            raise InvariantViolation(
-                f"machines became overloaded after the initial cascade: "
-                f"{sorted(now - overloaded0)}"
-            )
+    def join(v: str, conflict_now: set[str]) -> None:
+        conflict.add(v)
+        conflict_now.add(v)
+        for e in graph.incident(v):
+            h = head[e.id]
+            if h is None:
+                heappush(fakes, (v, e.other(v), basis.position[e.id], e))
+            elif h == v:
+                absorbable.add(e.other(v))
 
     round_no = 0
-    while True:
-        if round_no == 0:
-            batch = sorted(overloaded0, key=ctx.index)
-        else:
-            reachable: set[str] = set()
-            for u in result.round_activated[round_no - 1]:
-                for p in at[u]:
-                    reachable |= p.eligible
-            batch = sorted(reachable - levels.keys(), key=ctx.index)
-        if not batch:
-            break
+    batch = sorted(overloaded0, key=index)
+    while batch:
+        conflict_now: set[str] = set()
         for v in batch:
             levels[v] = round_no
+            join(v, conflict_now)
         activated_now = list(batch)
-        conflict_now = set(batch)
-        conflict.update(batch)
 
         while True:
-            while True:
-                absorbed = [
-                    v
-                    for v in ctx.machine_ids
-                    if v not in conflict
-                    and any(u in conflict for _, u in orient.fathers(v))
-                ]
-                if not absorbed:
-                    break
-                for v in absorbed:
-                    conflict.add(v)
-                    conflict_now.add(v)
+            while absorbable:
+                wave = sorted(absorbable - conflict, key=index)
+                absorbable.clear()
+                for v in wave:
+                    join(v, conflict_now)
                     if trace is not None:
                         trace.append({"event": "absorb", "machine": v})
-            fakes = []
-            for e in ctx.graph.edges:
-                if not orient.neutral(e):
-                    continue
-                for v, u in ((e.u, e.v), (e.v, e.u)):
-                    if v in conflict:
-                        fakes.append((v, u, e))
+            while fakes and head[fakes[0][3].id] is not None:
+                heappop(fakes)
             if not fakes:
                 break
-            fakes.sort(key=lambda c: (c[0], c[1]))
-            v, u, e = fake_picker(fakes) if fake_picker else fakes[0]
+            if fake_picker:
+                v, u, e = fake_picker(
+                    [(v, u, e) for v, u, _, e in sorted(fakes) if head[e.id] is None]
+                )
+            else:
+                v, u, _, e = fakes[0]
+            mark = len(orient.log)
             orient.direct(e, u)
             if trace is not None:
                 trace.append({"event": "fake", "edge": e.id, "from": v, "to": u})
             forced_orientations(ctx, orient, ml, th, (u,), trace)
-            guard_overload()
-
-        while True:
-            extra = []
-            for v in sorted(conflict - set(levels), key=ctx.index):
-                rule1 = any(
-                    ctx.dedicated[v] + ml[v] + e.weight > th.overload_bound
-                    for e, u in orient.fathers(v)
-                    if u in conflict
+            risen = set()
+            for d, h in orient.log[mark:]:
+                if h in conflict and d.other(h) not in conflict:
+                    absorbable.add(d.other(h))
+                if (
+                    h not in overloaded0
+                    and ctx.dedicated[h] + ml[h] + in_load[h] > th.overload_bound
+                ):
+                    risen.add(h)
+            if risen:
+                raise InvariantViolation(
+                    f"machines became overloaded after the initial cascade: "
+                    f"{sorted(risen)}"
                 )
-                rule2 = False
-                if not rule1:
-                    rule2 = any(
-                        u in levels and e.weight < th.rule2_bound
-                        for e, u in orient.fathers(v) + orient.children(v)
-                        if u in conflict
-                    )
-                if rule1 or rule2:
-                    extra.append((v, "activate_r1" if rule1 else "activate_r2"))
-            if not extra:
-                break
+
+        extra = []
+        for v in sorted(conflict - levels.keys(), key=index):
+            rule1 = any(
+                ctx.dedicated[v] + ml[v] + e.weight > th.overload_bound
+                for e, u in orient.fathers(v)
+                if u in conflict
+            )
+            if rule1 or any(
+                u in levels and e.weight < th.rule2_bound
+                for e, u in orient.fathers(v) + orient.children(v)
+            ):
+                extra.append((v, "activate_r1" if rule1 else "activate_r2"))
+        while extra:
             for v, event in extra:
                 levels[v] = round_no
                 activated_now.append(v)
                 if trace is not None:
                     trace.append({"event": event, "machine": v})
+            spread = {
+                e.other(w)
+                for w, _ in extra
+                for e in graph.incident(w)
+                if head[e.id] is not None
+                and e.weight < th.rule2_bound
+                and e.other(w) in conflict
+                and e.other(w) not in levels
+            }
+            extra = [(v, "activate_r2") for v in sorted(spread, key=index)]
 
-        # every edge leaving the conflict set must point outward by now
-        for e in ctx.graph.edges:
-            inside = (e.u in conflict) + (e.v in conflict)
-            if inside == 1:
-                tail = e.u if e.u in conflict else e.v
-                if orient.head[e.id] != e.other(tail):
-                    raise InvariantViolation(
-                        f"edge {e.id} leaves the conflict set but is not "
-                        "directed outward"
-                    )
+        # every edge leaving the conflict set must point outward by now;
+        # only the edges at this round's new members can have changed
+        outward = [
+            basis.position[e.id]
+            for v in conflict_now
+            for e in graph.incident(v)
+            if e.other(v) not in conflict and head[e.id] != e.other(v)
+        ]
+        if outward:
+            raise InvariantViolation(
+                f"edge {graph.edges[min(outward)].id} leaves the conflict set "
+                "but is not directed outward"
+            )
 
         result.round_activated.append(activated_now)
         result.round_conflict.append(conflict_now)
         round_no += 1
+        reach = 0
+        for u in activated_now:
+            labeled |= 1 << index(u)
+            for p in at[u]:
+                reach |= basis.mask[p.id]
+        reach &= ~labeled
+        batch = []
+        while reach:
+            low = reach & -reach
+            batch.append(machine_ids[low.bit_length() - 1])
+            reach ^= low
 
     return result
 

@@ -81,29 +81,34 @@ class _Dinic:
                         queue.append(arc[0])
             if level[tt] < 0:
                 return flow
-            it = [0] * self.n
-            while True:
-                got = self._augment(s, tt, level, it)
-                if not got:
-                    break
-                flow += got
+            flow += self._blocking_flow(s, tt, level)
 
-    def _augment(self, s: int, tt: int, level: list[int], it: list[int]) -> int:
-        """Push the bottleneck along one s-tt path of the level graph.
+    def _blocking_flow(self, s: int, tt: int, level: list[int]) -> int:
+        """Push bottlenecks along s-tt paths of the level graph until none is
+        left.
 
         Depth-first with an explicit stack; ``it`` keeps each node's current
-        arc across calls, and a dead end advances its parent's arc.
+        arc, and a dead end advances its parent's arc.  After an augment the
+        search resumes at the tail of the first arc it saturated: every arc
+        before it still has capacity and is still current at its tail, so a
+        restart from the source would walk that prefix again.
         """
+        it = [0] * self.n
+        flow = 0
         nodes = [s]
         arcs: list[list[int]] = []
         while nodes:
             u = nodes[-1]
             if u == tt:
-                got = min(arc[1] for arc in arcs)
+                caps = [arc[1] for arc in arcs]
+                got = min(caps)
                 for arc in arcs:
                     arc[1] -= got
                     self.adj[arc[0]][arc[2]][1] += got
-                return got
+                flow += got
+                cut = caps.index(got)
+                del nodes[cut + 1:], arcs[cut:]
+                continue
             adj = self.adj[u]
             while it[u] < len(adj):
                 arc = adj[it[u]]
@@ -117,7 +122,7 @@ class _Dinic:
                 if arcs:
                     arcs.pop()
                     it[nodes[-1]] += 1
-        return 0
+        return flow
 
     def reachable(self, s: int) -> set[int]:
         seen = {s}

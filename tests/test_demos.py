@@ -28,3 +28,4 @@ def test_demo_exits_cleanly(demo, tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    assert not list(tmp_path.glob("graphbalance-demo-*"))

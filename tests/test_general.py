@@ -19,7 +19,9 @@ from graphbalance import (
     verify_certificate,
     verify_solution,
 )
+from graphbalance.errors import InvariantViolation
 from graphbalance.general import (
+    ExploreResult,
     Orientation,
     ThresholdsG,
     explore,
@@ -115,6 +117,112 @@ def rescanning_find_push(ctx, placement, result, th):
         return None
     u, pid, v = best
     return PushMove(pid, u, v)
+
+
+def rescanning_explore(ctx, state, th, fake_picker=None, trace=None):
+    """Reference exploration: each round rescans every machine for
+    absorption and every edge for fakes, overloads and outward edges, and
+    unions the eligible sets of the movables it reaches."""
+    ml, at = state.loads, state.at
+    orient = Orientation(ctx.graph)
+    forced_orientations(ctx, orient, ml, th, ctx.graph.nodes, trace)
+
+    def overloaded():
+        return {
+            v
+            for v in ctx.machine_ids
+            if ctx.dedicated[v] + ml[v] + orient.in_load[v] > th.overload_bound
+        }
+
+    overloaded0 = overloaded()
+    levels, conflict = {}, set()
+    result = ExploreResult(orient, levels, conflict)
+    round_no = 0
+    while True:
+        if round_no == 0:
+            batch = sorted(overloaded0, key=ctx.index)
+        else:
+            reachable = set()
+            for u in result.round_activated[round_no - 1]:
+                for p in at[u]:
+                    reachable |= p.eligible
+            batch = sorted(reachable - levels.keys(), key=ctx.index)
+        if not batch:
+            break
+        for v in batch:
+            levels[v] = round_no
+        activated_now = list(batch)
+        conflict_now = set(batch)
+        conflict.update(batch)
+
+        while True:
+            while True:
+                absorbed = [
+                    v
+                    for v in ctx.machine_ids
+                    if v not in conflict
+                    and any(u in conflict for _, u in orient.fathers(v))
+                ]
+                if not absorbed:
+                    break
+                for v in absorbed:
+                    conflict.add(v)
+                    conflict_now.add(v)
+                    if trace is not None:
+                        trace.append({"event": "absorb", "machine": v})
+            fakes = []
+            for e in ctx.graph.edges:
+                if not orient.neutral(e):
+                    continue
+                for v, u in ((e.u, e.v), (e.v, e.u)):
+                    if v in conflict:
+                        fakes.append((v, u, e))
+            if not fakes:
+                break
+            fakes.sort(key=lambda c: (c[0], c[1]))
+            v, u, e = fake_picker(fakes) if fake_picker else fakes[0]
+            orient.direct(e, u)
+            if trace is not None:
+                trace.append({"event": "fake", "edge": e.id, "from": v, "to": u})
+            forced_orientations(ctx, orient, ml, th, (u,), trace)
+            if not overloaded() <= overloaded0:
+                raise InvariantViolation("machines became overloaded")
+
+        while True:
+            extra = []
+            for v in sorted(conflict - set(levels), key=ctx.index):
+                rule1 = any(
+                    ctx.dedicated[v] + ml[v] + e.weight > th.overload_bound
+                    for e, u in orient.fathers(v)
+                    if u in conflict
+                )
+                rule2 = False
+                if not rule1:
+                    rule2 = any(
+                        u in levels and e.weight < th.rule2_bound
+                        for e, u in orient.fathers(v) + orient.children(v)
+                        if u in conflict
+                    )
+                if rule1 or rule2:
+                    extra.append((v, "activate_r1" if rule1 else "activate_r2"))
+            if not extra:
+                break
+            for v, event in extra:
+                levels[v] = round_no
+                activated_now.append(v)
+                if trace is not None:
+                    trace.append({"event": event, "machine": v})
+
+        for e in ctx.graph.edges:
+            if (e.u in conflict) + (e.v in conflict) == 1:
+                tail = e.u if e.u in conflict else e.v
+                if orient.head[e.id] != e.other(tail):
+                    raise InvariantViolation(f"edge {e.id} is not directed outward")
+
+        result.round_activated.append(activated_now)
+        result.round_conflict.append(conflict_now)
+        round_no += 1
+    return result
 
 
 class TestThresholds:
@@ -274,6 +382,51 @@ class TestAgainstRescanningReference:
             )
             pushes += move is not None
         assert contexts >= 280 and pushes >= 60
+
+    @pytest.mark.parametrize("picker_seed", [None, 5])
+    def test_explore_rounds(self, picker_seed):
+        """The worklist exploration with eligibility masks matches the
+        whole-graph rescans round by round, event by event, from a random
+        placement and after each of up to ten pushes, with the default fake
+        order and with a seeded picker fed the same stream on both."""
+
+        def picker(seed):
+            if picker_seed is None:
+                return None
+            stream = random.Random(picker_seed * 10_000 + seed)
+            return lambda candidates: stream.choice(candidates)
+
+        contexts = rounds = fakes = 0
+        for ctx, beta, rng in seeded_contexts():
+            contexts += 1
+            placement = {p.id: rng.choice(ctx.sorted_eligible(p)) for p in ctx.movables}
+            state = PushState(ctx, placement)
+            th = ThresholdsG.make(ctx.t, beta)
+            for step in range(11):
+                fast_trace, slow_trace = [], []
+                fast = explore(
+                    ctx, state, th, fake_picker=picker(contexts * 11 + step), trace=fast_trace
+                )
+                slow = rescanning_explore(
+                    ctx, state, th, fake_picker=picker(contexts * 11 + step), trace=slow_trace
+                )
+                assert fast.levels == slow.levels
+                assert fast.conflict == slow.conflict
+                assert fast.round_activated == slow.round_activated
+                assert fast.round_conflict == slow.round_conflict
+                assert fast.orientation.head == slow.orientation.head
+                assert fast.orientation.in_load == slow.orientation.in_load
+                assert fast_trace == slow_trace
+                rounds += len(slow.round_activated)
+                fakes += sum(event["event"] == "fake" for event in slow_trace)
+                move = find_push_general(ctx, state, fast, th)
+                if move is None:
+                    break
+                state.move(move.movable_id, move.target)
+            assert ctx.cache["general"].mask == {
+                p.id: sum(2 ** ctx.index(v) for v in p.eligible) for p in ctx.movables
+            }
+        assert contexts >= 280 and rounds >= 600 and fakes >= 180
 
     def test_head_seeded_cascade_after_each_fake(self):
         """From a fixpoint, directing one neutral edge can only leave its

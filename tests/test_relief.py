@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import MethodType
 
 import pytest
 
@@ -14,9 +15,61 @@ from graphbalance import (
     verify_certificate,
     verify_solution,
 )
-from graphbalance.relief import run_relief
+from graphbalance.relief import _FlowNetwork, run_relief
 
 from conftest import build
+
+
+def restarting_max_flow(net, s, tt, paths):
+    """Reference Dinic: every augmenting path search restarts at the source;
+    appends each phase's augment count to *paths*."""
+    flow = 0
+    while True:
+        level = [-1] * net.n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for arc in net.adj[u]:
+                if arc[1] > 0 and level[arc[0]] < 0:
+                    level[arc[0]] = level[u] + 1
+                    queue.append(arc[0])
+        if level[tt] < 0:
+            return flow
+        it = [0] * net.n
+        paths.append(0)
+        while True:
+            got = restarting_augment(net, s, tt, level, it)
+            if not got:
+                break
+            flow += got
+            paths[-1] += 1
+
+
+def restarting_augment(net, s, tt, level, it):
+    nodes = [s]
+    arcs = []
+    while nodes:
+        u = nodes[-1]
+        if u == tt:
+            got = min(arc[1] for arc in arcs)
+            for arc in arcs:
+                arc[1] -= got
+                net.adj[arc[0]][arc[2]][1] += got
+            return got
+        adj = net.adj[u]
+        while it[u] < len(adj):
+            arc = adj[it[u]]
+            if arc[1] > 0 and level[arc[0]] == level[u] + 1:
+                nodes.append(arc[0])
+                arcs.append(arc)
+                break
+            it[u] += 1
+        else:
+            nodes.pop()
+            if arcs:
+                arcs.pop()
+                it[nodes[-1]] += 1
+    return 0
 
 
 def reduced(machines, jobs, t, mode=SolveMode.TWO_VALUED):
@@ -105,3 +158,36 @@ def test_random_runs_meet_bound_or_declare_soundly(seed):
         else:
             valid, makespan = verify_solution(inst, ctx.expand(result))
             assert valid and makespan <= max(cap, max(ctx.dedicated.values()))
+
+
+def test_resumed_path_search_matches_restarts_from_the_source():
+    """Resuming each augmenting-path search where the last augment
+    saturated an arc leaves every residual capacity, flow split and cut
+    equal to restarting each search at the source, guess after guess."""
+    phases = []
+    feasible = infeasible = 0
+    for seed in range(60):
+        rng = random.Random(30_000 + seed)
+        m = rng.randint(3, 40)
+        machines = [(f"m{i}", rng.randint(0, 5)) for i in range(m)]
+        ids = [mid for mid, _ in machines]
+        top = rng.randint(2, 9)
+        jobs = [
+            (f"j{i}", rng.randint(1, top), rng.sample(ids, rng.randint(2, min(m, 4))))
+            for i in range(rng.randint(m, 3 * m))
+        ]
+        ctx = reduced(machines, jobs, max(2 * top, 5))
+        fast, slow = _FlowNetwork(ctx), _FlowNetwork(ctx)
+        slow.net.max_flow = MethodType(
+            lambda net, s, tt: restarting_max_flow(net, s, tt, phases), slow.net
+        )
+        for t in range(0, 3 * top + 6):
+            result = fast.check(ctx, t)
+            assert result == slow.check(ctx, t)
+            assert [arc[1] for adj in fast.net.adj for arc in adj] == [
+                arc[1] for adj in slow.net.adj for arc in adj
+            ]
+            feasible += result[0]
+            infeasible += not result[0]
+    assert feasible >= 600 and infeasible >= 500
+    assert sum(count >= 2 for count in phases) >= 1500

@@ -85,6 +85,7 @@ def test_unit_chain_of_ten_thousand_machines():
         (100, Fraction(7, 10)),
         (100, Fraction(9, 10)),
         (150, Fraction(7, 10)),
+        (500, Fraction(7, 10)),
     ],
 )
 def test_general_at_scale(m, beta):
