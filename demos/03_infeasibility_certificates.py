@@ -83,7 +83,7 @@ inst = Instance(
 context = reduce_instance(inst, 12, SolveMode.GENERAL, Fraction(7, 10))
 from graphbalance.general import run_general
 
-result, _ = run_general(context, Fraction(7, 10))
+result, _ = run_general(context)
 show(inst, result)
 
 print("\n=== the full search on the same instance ===")

@@ -64,17 +64,15 @@ def certified_ratio_bound(
 
 
 def _dispatch(ctx: GuessContext, trace):
+    """The regime's core on *ctx*: ``(assignment or declaration, pushes)``."""
     if ctx.mode == SolveMode.GENERAL:
-        return run_general(ctx, ctx.beta, trace=trace)
+        return run_general(ctx, trace=trace)
     heavy, light = ctx.heavy_weight, ctx.light_weight
-    if not ctx.movables and not ctx.graph.edges:
-        return run_two_valued(ctx, trace=trace)
     if heavy is not None and ctx.t >= 2 * heavy:
         return run_relief(ctx)
     if light is not None and ctx.t < 2 * light:
         return run_matching(ctx)
-    variant = "improved" if heavy is not None and heavy >= 2 * light else "standard"
-    return run_two_valued(ctx, variant=variant, trace=trace)
+    return run_two_valued(ctx, trace=trace)
 
 
 def solve(
@@ -119,8 +117,8 @@ def solve(
             return None
         if trace is not None:
             trace.extend({"t": t, "stage": "reduce", **ev} for ev in reduced.reductions)
-        result, stats = _dispatch(reduced, sub)
-        pushes += stats.pushes
+        result, made = _dispatch(reduced, sub)
+        pushes += made
         if trace is not None and sub:
             trace.extend({"t": t, "stage": "core", **ev} for ev in sub)
         if isinstance(result, Declaration):

@@ -28,7 +28,7 @@ from .preprocess import (
     min_edge_load_into,
     orient_components,
 )
-from .push import CoreStats, PushMove, PushState, potential_value, push
+from .push import PushMove, PushState, potential_value, push
 
 
 @dataclass(frozen=True)
@@ -170,30 +170,6 @@ class ExploreResult:
     round_conflict: list[set[str]] = field(default_factory=list)
 
 
-class _ExploreBasis:
-    """What ``explore`` reads of one reduced state besides the placement:
-    each movable's eligible machines as a bitmask with bit ``ctx.index(v)``
-    set for every eligible v, and each edge's position in ``graph.edges``,
-    the last key of the fake-orientation order."""
-
-    def __init__(self, ctx: GuessContext):
-        self.movables, self.graph = ctx.movables, ctx.graph
-        self.mask = {
-            p.id: sum(1 << ctx.index(v) for v in p.eligible) for p in ctx.movables
-        }
-        self.position = {e.id: i for i, e in enumerate(ctx.graph.edges)}
-
-    def serves(self, ctx: GuessContext) -> bool:
-        return self.movables is ctx.movables and self.graph is ctx.graph
-
-
-def _explore_basis(ctx: GuessContext) -> _ExploreBasis:
-    basis = ctx.cache.get("general")
-    if basis is None or not basis.serves(ctx):
-        basis = ctx.cache["general"] = _ExploreBasis(ctx)
-    return basis
-
-
 def explore(
     ctx: GuessContext,
     state: PushState,
@@ -224,7 +200,6 @@ def explore(
     rule 2 can only fire across a light directed edge from a machine the
     previous pass activated.
     """
-    basis = _explore_basis(ctx)
     ml, at = state.loads, state.at
     graph, index, machine_ids = ctx.graph, ctx.index, ctx.machine_ids
     orient = Orientation(graph)
@@ -236,9 +211,10 @@ def explore(
     conflict: set[str] = set()
     result = ExploreResult(orient, levels, conflict)
     labeled = 0  # bit index(v) for every v in levels
-    # (tail in the conflict set, head, edge position, edge); stale once
-    # the edge is directed
-    fakes: list[tuple[str, str, int, EdgeJob]] = []
+    # (tail in the conflict set, head, edge id, edge); stale once the edge
+    # is directed.  A reduced graph has no parallel edges, so (tail, head)
+    # already decides the order.
+    fakes: list[tuple[str, str, str, EdgeJob]] = []
     absorbable: set[str] = set()  # tails of edges directed into the conflict set
 
     def join(v: str, conflict_now: set[str]) -> None:
@@ -247,7 +223,7 @@ def explore(
         for e in graph.incident(v):
             h = head[e.id]
             if h is None:
-                heappush(fakes, (v, e.other(v), basis.position[e.id], e))
+                heappush(fakes, (v, e.other(v), e.id, e))
             elif h == v:
                 absorbable.add(e.other(v))
 
@@ -330,14 +306,14 @@ def explore(
         # every edge leaving the conflict set must point outward by now;
         # only the edges at this round's new members can have changed
         outward = [
-            basis.position[e.id]
+            e.id
             for v in conflict_now
             for e in graph.incident(v)
             if e.other(v) not in conflict and head[e.id] != e.other(v)
         ]
         if outward:
             raise InvariantViolation(
-                f"edge {graph.edges[min(outward)].id} leaves the conflict set "
+                f"edge {min(outward)} leaves the conflict set "
                 "but is not directed outward"
             )
 
@@ -348,7 +324,7 @@ def explore(
         for u in activated_now:
             labeled |= 1 << index(u)
             for p in at[u]:
-                reach |= basis.mask[p.id]
+                reach |= p.mask
         reach &= ~labeled
         batch = []
         while reach:
@@ -377,9 +353,8 @@ def find_push_general(
     orient = result.orientation
     ml = state.loads
     bound = th.push_bound
+    rounds = result.round_activated  # rounds[lvl]: the machines at level lvl
     by_level: dict[int, set[str]] = {}
-    for v, lvl in result.levels.items():
-        by_level.setdefault(lvl, set()).add(v)
     verdict: dict[str, bool] = {}
 
     def accepts(v: str) -> bool:
@@ -395,9 +370,12 @@ def find_push_general(
         return True
 
     for u in sorted(result.levels):
-        up = by_level.get(result.levels[u] + 1)
-        if not up:
+        lvl = result.levels[u] + 1
+        if lvl == len(rounds):
             continue
+        up = by_level.get(lvl)
+        if up is None:
+            up = by_level[lvl] = set(rounds[lvl])
         for p in state.at[u]:
             for v in sorted(p.eligible & up):
                 if v not in verdict:
@@ -430,14 +408,14 @@ def _complete_orientation(ctx: GuessContext, orient: Orientation):
 
 
 def run_general(
-    ctx: GuessContext, beta: Fraction, trace: list | None = None
-) -> tuple[dict[str, str] | Declaration, CoreStats]:
-    """Iterate explore + push from a fresh orientation each time."""
+    ctx: GuessContext, trace: list | None = None
+) -> tuple[dict[str, str] | Declaration, int]:
+    """Iterate explore + push from a fresh orientation each time; returns
+    the result and the number of pushes."""
     if ctx.mode.value != "general":
         raise RegimeError("general core requires a general-mode context")
-    th = ThresholdsG.make(ctx.t, beta)
+    th = ThresholdsG.make(ctx.t, ctx.beta)
     state = PushState(ctx)
-    stats = CoreStats()
 
     def relabel(state: PushState) -> ExploreResult:
         mark = len(trace) if trace is not None else 0
@@ -450,26 +428,12 @@ def run_general(
         return result
 
     result = relabel(state)
-    while True:
-        if not result.levels:
-            stats.pushes = state.pushes
-            return _finish(ctx, state, result, th), stats
+    while result.levels:
         move = find_push_general(ctx, state, result, th)
         if move is None:
-            stats.pushes = state.pushes
-            return _declaration(ctx, state, result), stats
-        stats.potentials.append(state.potential)
-        if trace is not None:
-            trace.append(
-                {
-                    "iteration": state.pushes + 1,
-                    "event": "push",
-                    "movable": move.movable_id,
-                    "from": move.source,
-                    "to": move.target,
-                }
-            )
-        result = push(state, move, relabel)
+            return _declaration(ctx, state, result), state.pushes
+        result = push(state, move, relabel, trace)
+    return _finish(ctx, state, result, th), state.pushes
 
 
 def _finish(ctx, state, result, th) -> dict[str, str]:

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ParseError, ValidationError
 
@@ -52,6 +53,11 @@ def parse_fraction(text: str | int) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid fraction {text!r}: {exc}") from None
     raise ValueError(f"invalid fraction {text!r}")
+
+
+def floor_times(beta: Fraction, x: int) -> int:
+    """``floor(beta * x)`` for an integer *x*, without building a Fraction."""
+    return beta.numerator * x // beta.denominator
 
 
 def format_fraction(value: Fraction) -> str:
@@ -117,9 +123,9 @@ class Instance:
                     )
         object.__setattr__(self, "machine_index", index)
 
-    @property
-    def machine_ids(self) -> list[str]:
-        return [m.id for m in self.machines]
+    @cached_property
+    def machine_ids(self) -> tuple[str, ...]:
+        return tuple(self.machine_index)
 
     def sorted_eligible(self, job: JobSpec) -> list[str]:
         """Eligible machines of *job* in instance machine order."""
@@ -330,9 +336,10 @@ def validate(
     if mode == SolveMode.GENERAL:
         beta = _check_beta(beta)
         w_max = instance.max_weight()
+        light_max = floor_times(beta, w_max)
         violations = []
         for j in instance.jobs:
-            if Fraction(j.weight) > beta * w_max and len(j.eligible) > 2:
+            if j.weight > light_max and len(j.eligible) > 2:
                 violations.append(
                     f"job {j.id!r} (weight {j.weight} > beta*W_max = "
                     f"{format_fraction(beta * w_max)}) is eligible on "
@@ -395,7 +402,7 @@ def generate_general(
         raise ValueError("need at least two machines")
     if w_max < 2:
         raise ValueError("w_max must be at least 2")
-    light_max = int(beta * w_max)  # floor; Fraction * int stays exact
+    light_max = floor_times(beta, w_max)
     heavy_min = light_max + 1
     rng = random.Random(seed)
     machine_ids = [f"m{i}" for i in range(m)]

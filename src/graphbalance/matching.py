@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from .errors import InvariantViolation, RegimeError
 from .preprocess import Declaration, GuessContext, HALL_VIOLATION
-from .push import CoreStats
 
 
-def run_matching(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, CoreStats]:
+def run_matching(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, int]:
     """Match every job to a fitting machine, or return a deficiency witness.
 
     Precondition (checked): the two smallest job weights exceed t together,
@@ -77,7 +76,7 @@ def run_matching(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, CoreS
         makespan = max(loads.values(), default=0)
         if makespan > t:
             raise InvariantViolation(f"matching exceeded t={t} with {makespan}")
-        return dict(matched_job), CoreStats()
+        return dict(matched_job), 0
 
     # Alternating BFS from the unmatched job: every reachable machine is
     # matched, so the reachable jobs outnumber their joint neighborhood.
@@ -103,4 +102,4 @@ def run_matching(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, CoreS
         "neighborhood": sorted(neighborhood),
         **ctx.mode_payload(),
     }
-    return Declaration(t, HALL_VIOLATION, payload), CoreStats()
+    return Declaration(t, HALL_VIOLATION, payload), 0

@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvariantViolation, RegimeError, ValidationError
-from .instance import Instance, JobSpec, MachineSpec, SolveMode, format_fraction
+from .instance import (
+    Instance,
+    JobSpec,
+    MachineSpec,
+    SolveMode,
+    floor_times,
+    format_fraction,
+)
 
 DEDICATED_OVERFLOW = "dedicated_overflow"
 MULTI_CYCLE_COMPONENT = "multi_cycle_component"
@@ -69,6 +76,7 @@ class MovableJob:
     id: str
     weight: int
     eligible: frozenset[str]
+    mask: int  # bit machine_index[v] set for every eligible v
 
 
 @dataclass(frozen=True)
@@ -343,7 +351,7 @@ class GuessContext:
     cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
-    def machine_ids(self) -> list[str]:
+    def machine_ids(self) -> tuple[str, ...]:
         return self.instance.machine_ids
 
     def index(self, machine: str) -> int:
@@ -434,8 +442,17 @@ def _edge_floor(
     if mode == SolveMode.GENERAL:
         if beta is None:
             raise ValidationError(["general mode requires beta"])
-        return beta.numerator * t // beta.denominator
+        return floor_times(beta, t)
     raise ValueError("classification requires a resolved mode")
+
+
+def _mask(instance: Instance, machines) -> int:
+    """The bitmask with bit ``machine_index[v]`` set for every v in *machines*."""
+    index = instance.machine_index
+    mask = 0
+    for v in machines:
+        mask |= 1 << index[v]
+    return mask
 
 
 def classify_jobs(
@@ -462,7 +479,9 @@ def classify_jobs(
             u, v = instance.sorted_eligible(job)
             edge_jobs.append(EdgeJob(job.id, u, v, job.weight))
         else:
-            movables.append(MovableJob(job.id, job.weight, job.eligible))
+            movables.append(
+                MovableJob(job.id, job.weight, job.eligible, _mask(instance, job.eligible))
+            )
     return edge_jobs, movables
 
 
@@ -610,7 +629,9 @@ def _reduce_edge_set(basis: _SolveBasis, t: int) -> _EdgeSetReduction:
             diff = first.weight - second.weight
             if diff > 0:
                 pid = f"~{first.id}+{second.id}"
-                movables.append(MovableJob(pid, diff, frozenset((u, v))))
+                movables.append(
+                    MovableJob(pid, diff, frozenset((u, v)), _mask(instance, (u, v)))
+                )
                 twins.append(TwinFold(pid, first.id, second.id, u, v))
             else:
                 twins.append(TwinFold(None, first.id, second.id, u, v))

@@ -12,7 +12,7 @@ pushes by #machines * #movables.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import InvariantViolation
@@ -26,12 +26,6 @@ class PushMove:
     movable_id: str
     source: str
     target: str
-
-
-@dataclass
-class CoreStats:
-    pushes: int = 0
-    potentials: list[int] = field(default_factory=list)
 
 
 class PushState:
@@ -87,17 +81,29 @@ def potential_value(
     return sum((n - lvl) * len(at[v]) for v, lvl in levels.items())
 
 
-def push(state: PushState, move: PushMove, relabel):
+def push(state: PushState, move: PushMove, relabel, trace: list | None = None):
     """Make *move*, relabel, and hold the rule that bounds the pushes.
 
     ``relabel(state)`` must set ``state.levels`` and ``state.potential``;
     its result is returned.  No level may drop (a machine labeled now was
     labeled before, no higher), the potential must strictly drop, and the
     pushes must stay within #machines * #movables; a breach means the state
-    is corrupt.
+    is corrupt.  The push event goes to *trace* before the relabeling's
+    events, with the push's number and the potential before it.
     """
     old_levels, old_potential = state.levels, state.potential
     state.move(move.movable_id, move.target)
+    if trace is not None:
+        trace.append(
+            {
+                "event": "push",
+                "iteration": state.pushes,
+                "movable": move.movable_id,
+                "from": move.source,
+                "to": move.target,
+                "potential": old_potential,
+            }
+        )
     result = relabel(state)
     for v, after in state.levels.items():
         before = old_levels.get(v)

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from .errors import InvariantViolation
 from .preprocess import Declaration, GuessContext, PREFLOW_HEIGHT
-from .push import CoreStats
 
 
-def run_relief(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, CoreStats]:
+def run_relief(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, int]:
     t = ctx.t
     network = ctx.cache.get("relief")
     if network is None or not network.serves(ctx):
@@ -28,7 +27,7 @@ def run_relief(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, CoreSta
         makespan = max(ctx.dedicated.values(), default=0)
         if makespan > t:
             raise InvariantViolation(f"dedicated load {makespan} exceeds t={t}")
-        return {}, CoreStats()
+        return {}, 0
 
     feasible, result = network.check(ctx, t)
     if not feasible:
@@ -38,7 +37,7 @@ def run_relief(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, CoreSta
             "captive_jobs": captive,
             **ctx.mode_payload(),
         }
-        return Declaration(t, PREFLOW_HEIGHT, payload), CoreStats()
+        return Declaration(t, PREFLOW_HEIGHT, payload), 0
 
     assignment = _round_flow(ctx, t, items, result)
     weight = {jid: w for jid, w, _ in items}
@@ -49,7 +48,7 @@ def run_relief(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, CoreSta
     cap = t + max(weight.values()) - 1
     if makespan > cap:
         raise InvariantViolation(f"rounded flow reached {makespan} above {cap}")
-    return assignment, CoreStats()
+    return assignment, 0
 
 
 # ---------------------------------------------------------------------------

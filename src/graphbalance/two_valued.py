@@ -22,7 +22,7 @@ from .preprocess import (
     GuessContext,
     orient_components,
 )
-from .push import CoreStats, PushMove, PushState, potential_value, push
+from .push import PushMove, PushState, potential_value, push
 
 
 class NodeClass(IntEnum):
@@ -234,10 +234,12 @@ def find_push(state: TwoValuedState) -> PushMove | None:
     return None
 
 
-def apply_push(state: TwoValuedState, move: PushMove) -> int:
+def apply_push(
+    state: TwoValuedState, move: PushMove, trace: list | None = None
+) -> None:
     """Relocate the movable and relabel; levels may only rise and the
-    potential must strictly drop, else the state is corrupted.  Returns the
-    potential before the push.
+    potential must strictly drop, else the state is corrupted.  The push
+    event goes to *trace*.
 
     Only a push from the least level that has one keeps the levels
     monotone, so a push from a higher level is rejected as stale before
@@ -258,9 +260,7 @@ def apply_push(state: TwoValuedState, move: PushMove) -> int:
         if lvl < level
     ):
         raise StaleMoveError(f"push {move} is not from the least level with a push")
-    old_potential = state.potential
-    push(state, move, label_levels)
-    return old_potential
+    push(state, move, label_levels, trace)
 
 
 def _orient_and_assign(state: TwoValuedState) -> dict[str, str]:
@@ -308,50 +308,33 @@ def _declaration(state: TwoValuedState) -> Declaration:
 
 
 def run_two_valued(
-    ctx: GuessContext, variant: str = "standard", trace: list | None = None
-) -> tuple[dict[str, str] | Declaration, CoreStats]:
-    """Push until no component is stuck, or declare the guess too low."""
-    stats = CoreStats()
+    ctx: GuessContext, trace: list | None = None
+) -> tuple[dict[str, str] | Declaration, int]:
+    """Push until no component is stuck, or declare the guess too low.
+
+    The improved thresholds apply exactly when the heavy weight is at least
+    twice the light one.  Returns the result and the number of pushes.
+    """
     if not ctx.movables and not ctx.graph.edges:
-        return {}, stats
+        return {}, 0
     heavy, light = ctx.heavy_weight, ctx.light_weight
     if heavy is None:
         raise RegimeError("two-valued core needs the heavy/light weights")
     t = ctx.t
     if t >= 2 * heavy:
         raise RegimeError(f"t={t} >= 2*{heavy}: use the relief core")
-    if variant == "improved":
-        if heavy < 2 * light:
-            raise RegimeError("improved thresholds require heavy >= 2 * light")
+    if heavy >= 2 * light:
         thresholds = Thresholds.improved(t, heavy, light)
-    elif variant == "standard":
+    else:
         if ctx.movables and t < 2 * light:
             raise RegimeError(f"t={t} < 2*{light}: use the unit-capacity core")
         thresholds = Thresholds.standard(t, heavy, light)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
 
     state = TwoValuedState(ctx, thresholds)
     label_levels(state)
-    rounds = 0
-    while True:
-        if not any(state.stuck):
-            stats.pushes = state.pushes
-            return _orient_and_assign(state), stats
+    while any(state.stuck):
         move = find_push(state)
         if move is None:
-            stats.pushes = state.pushes
-            return _declaration(state), stats
-        stats.potentials.append(apply_push(state, move))
-        rounds += 1
-        if trace is not None:
-            trace.append(
-                {
-                    "event": "push",
-                    "round": rounds,
-                    "movable": move.movable_id,
-                    "from": move.source,
-                    "to": move.target,
-                    "potential": state.potential,
-                }
-            )
+            return _declaration(state), state.pushes
+        apply_push(state, move, trace)
+    return _orient_and_assign(state), state.pushes

@@ -24,6 +24,15 @@ def build(machines, jobs, hint=SolveMode.AUTO) -> Instance:
     )
 
 
+def assert_push_events(trace: list, pushes: int) -> None:
+    """A core's push events count 1, 2, ..., *pushes*, and the potential
+    they record (the one before each push) strictly drops."""
+    events = [event for event in trace if event["event"] == "push"]
+    assert [event["iteration"] for event in events] == list(range(1, pushes + 1))
+    potentials = [event["potential"] for event in events]
+    assert all(a > b for a, b in zip(potentials, potentials[1:]))
+
+
 def loaded_two_valued(seed: int) -> tuple[Instance, int, int]:
     """Two-weight instance with dedicated loads and single-machine jobs."""
     rng = random.Random(seed)

@@ -1,6 +1,7 @@
 """End-to-end solve: guarantees against the oracle, search bookkeeping."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,13 @@ from graphbalance import (
     feasible_at,
     generate_general,
     generate_two_valued,
+    reduce_instance,
     solve,
     validate,
     verify_solution,
 )
+
+from graphbalance import driver
 
 from conftest import build, loaded_general, loaded_two_valued
 
@@ -156,3 +160,36 @@ class TestSearchBookkeeping:
             )
             sol = solve(inst)
             assert Fraction(sol.makespan) <= bound * sol.t_star
+
+
+class TestDispatch:
+    @pytest.mark.parametrize(
+        "mode, weights, t, core",
+        [
+            (SolveMode.GENERAL, None, 7, "run_general"),
+            (SolveMode.TWO_VALUED, None, 7, "run_two_valued"),
+            (SolveMode.TWO_VALUED, (4, 3), 8, "run_relief"),  # t >= 2W
+            (SolveMode.TWO_VALUED, (6, 4), 7, "run_matching"),  # t < 2w
+            (SolveMode.TWO_VALUED, (6, 2), 7, "run_two_valued"),
+        ],
+    )
+    def test_empty_context_gives_an_empty_assignment(
+        self, monkeypatch, mode, weights, t, core
+    ):
+        """With no movables and no edges, every regime's core returns an
+        empty assignment and no pushes."""
+        inst = build([("a", 5), ("b", 3)], [("s", 2, ["b"])])
+        beta = Fraction(7, 10) if mode == SolveMode.GENERAL else None
+        ctx = reduce_instance(inst, t, mode, beta)
+        if weights is not None:
+            ctx = replace(ctx, heavy_weight=weights[0], light_weight=weights[1])
+        called = []
+        original = getattr(driver, core)
+
+        def recorded(*args, **kwargs):
+            called.append(core)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(driver, core, recorded)
+        assert driver._dispatch(ctx, None) == ({}, 0)
+        assert called == [core]

@@ -31,7 +31,7 @@ def test_long_chain_needs_no_recursion():
     jobs = [(f"h{i:05d}", 10, [ids[i], ids[i + 1]]) for i in range(1499)]
     jobs.append(("l0", 6, [ids[0], ids[1]]))
     ctx = reduced([(v, 0) for v in ids], jobs, t=10)
-    result, stats = run_matching(ctx)
+    result, _ = run_matching(ctx)
     assert not isinstance(result, Declaration)
     valid, makespan = verify_solution(ctx.instance, ctx.expand(result))
     assert valid and makespan == 10
@@ -44,7 +44,7 @@ def test_two_jobs_two_machines():
         [("x", 5, ["a", "b"]), ("y", 3, ["a", "b"])],
         t=5,
     )
-    result, stats = run_matching(ctx)
+    result, _ = run_matching(ctx)
     assert not isinstance(result, Declaration)
     assert sorted(result.values()) == ["a", "b"]
     valid, makespan = verify_solution(ctx.instance, ctx.expand(result))
@@ -58,7 +58,7 @@ def test_three_jobs_on_two_machines_pigeonhole():
         [("h", 9, ["c", "d"])] + [(f"l{i}", 5, ["a", "b"]) for i in range(3)],
         t=9,
     )
-    result, stats = run_matching(ctx)
+    result, _ = run_matching(ctx)
     assert isinstance(result, Declaration)
     assert sorted(result.payload["jobs"]) == ["l0", "l1", "l2"]
     assert sorted(result.payload["neighborhood"]) == ["a", "b"]
@@ -70,7 +70,7 @@ def test_dedicated_load_blocks_machine():
         [("x", 5, ["a", "b"]), ("y", 4, ["a", "b"])],
         t=5,
     )
-    result, stats = run_matching(ctx)
+    result, _ = run_matching(ctx)
     assert not isinstance(result, Declaration)
     assert result == {"x": "b", "y": "a"}  # 5 does not fit on a (1+5 > 5)
 

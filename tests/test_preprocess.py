@@ -393,9 +393,8 @@ class TestMemo:
         def cores(ctx):
             yield "matching", lambda: run_matching(ctx)
             yield "relief", lambda: run_relief(ctx)
-            yield "general", lambda: run_general(ctx, ctx.beta)
-            for variant in ("standard", "improved"):
-                yield variant, lambda variant=variant: run_two_valued(ctx, variant=variant)
+            yield "general", lambda: run_general(ctx)
+            yield "two_valued", lambda: run_two_valued(ctx)
 
         ran = set()
         for inst, mode, beta in memo_corpus():
@@ -417,9 +416,11 @@ class TestMemo:
             for ctx in contexts:
                 for name, run in cores(ctx):
                     try:
-                        run()
+                        result, pushes = run()
                     except RegimeError:
                         continue
+                    assert isinstance(result, (dict, Declaration))
+                    assert type(pushes) is int
                     ran.add(name)
             after = {
                 key: (entry.checkpoints, entry.dedicated, entry.movables,
@@ -428,4 +429,4 @@ class TestMemo:
                 for key, entry in entries.items()
             }
             assert after == before
-        assert ran == {"matching", "relief", "general", "standard", "improved"}
+        assert ran == {"matching", "relief", "general", "two_valued"}

@@ -83,7 +83,7 @@ def test_four_equal_jobs_balance_out():
     inst = build([("a", 0), ("b", 0)], [(f"j{i}", 3, ["a", "b"]) for i in range(4)])
     assert exact_opt(inst) == 6
     ctx = reduced([("a", 0), ("b", 0)], [(f"j{i}", 3, ["a", "b"]) for i in range(4)], 6)
-    result, stats = run_relief(ctx)
+    result, _ = run_relief(ctx)
     assert not isinstance(result, Declaration)
     valid, makespan = verify_solution(inst, result)
     assert valid and makespan == 6
@@ -103,7 +103,7 @@ def test_declaration_has_sound_cut():
     t = 8  # five weight-4 jobs on two machines need 20 > 2*8
     assert not feasible_at(inst, t)
     ctx = reduced(machines, jobs, t)
-    result, stats = run_relief(ctx)
+    result, _ = run_relief(ctx)
     assert isinstance(result, Declaration)
     assert result.kind == "preflow_height"
     cut = set(result.payload["cut"])
@@ -125,7 +125,7 @@ def test_long_chain_needs_no_recursion(m):
     jobs.append(("z", 10, ["m0", "m1"]))
     inst = build(machines, jobs)
     ctx = reduce_instance(inst, 20, SolveMode.GENERAL, Fraction(7, 10))
-    result, stats = run_relief(ctx)
+    result, _ = run_relief(ctx)
     valid, makespan = verify_solution(inst, ctx.expand(result))
     # every capacity is a multiple of 10, so no job is split by the flow
     assert valid and makespan == 20
@@ -149,7 +149,7 @@ def test_random_runs_meet_bound_or_declare_soundly(seed):
         if isinstance(ctx, Declaration):
             assert not feasible_at(inst, t)
             continue
-        result, stats = run_relief(ctx)
+        result, _ = run_relief(ctx)
         remaining = [p.weight for p in ctx.movables]
         cap = t + (max(remaining) if remaining else 0) - 1 if remaining else t
         if isinstance(result, Declaration):

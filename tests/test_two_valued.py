@@ -34,7 +34,7 @@ from graphbalance.two_valued import (
     run_two_valued,
 )
 
-from conftest import build, loaded_two_valued
+from conftest import assert_push_events, build, loaded_two_valued
 
 
 def exact_thresholds(t, heavy, light, variant):
@@ -349,7 +349,7 @@ class TestRunCore:
         )
         ctx = reduce_instance(inst, 10, SolveMode.GENERAL, Fraction(4, 7))
         ctx = replace(ctx, mode=SolveMode.TWO_VALUED, heavy_weight=6, light_weight=2)
-        result, stats = run_two_valued(ctx)
+        result, _ = run_two_valued(ctx)
         assert not isinstance(result, Declaration)
         valid, makespan = verify_solution(inst, ctx.expand(result))
         assert valid and Fraction(makespan) <= Fraction(15)
@@ -357,7 +357,7 @@ class TestRunCore:
     def test_single_edge_job_oriented_either_way(self):
         inst = build([("a", 0), ("b", 0)], [("r", 10, ["a", "b"])], SolveMode.TWO_VALUED)
         ctx = reduce_instance(inst, 10, SolveMode.TWO_VALUED)
-        result, stats = run_two_valued(ctx)
+        result, _ = run_two_valued(ctx)
         assert result["r"] in ("a", "b")
         valid, makespan = verify_solution(inst, ctx.expand(result))
         assert valid and makespan == 10
@@ -375,22 +375,39 @@ class TestRunCore:
             if isinstance(ctx, Declaration):
                 assert not feasible_at(inst, t)
                 continue
-            variant = "improved" if heavy >= 2 * light else "standard"
-            result, stats = run_two_valued(ctx, variant=variant)
+            trace = []
+            result, pushes = run_two_valued(ctx, trace)
             if isinstance(result, Declaration):
                 assert not feasible_at(inst, t)
             else:
                 bound = (
-                    Fraction(3 * t, 2)
-                    if variant == "standard"
-                    else Fraction(t + heavy // 2)
+                    Fraction(t + heavy // 2)
+                    if heavy >= 2 * light
+                    else Fraction(3 * t, 2)
                 )
                 valid, makespan = verify_solution(inst, ctx.expand(result))
                 assert valid and Fraction(makespan) <= bound
-            if stats.potentials:
-                assert all(
-                    a > b for a, b in zip(stats.potentials, stats.potentials[1:])
-                )
+            assert_push_events(trace, pushes)
+
+    def test_declared_variant_follows_the_weights(self):
+        """A declaration names the improved thresholds exactly when W >= 2w."""
+        seen = set()
+        for seed in range(150):
+            inst, _, _ = loaded_two_valued(seed)
+            report = validate(inst, SolveMode.TWO_VALUED)
+            if not report.ok:
+                continue
+            heavy, light = report.heavy_weight, report.light_weight
+            for t in range(max(inst.max_weight(), 2 * light), 2 * heavy):
+                ctx = reduce_instance(inst, t, SolveMode.TWO_VALUED)
+                if isinstance(ctx, Declaration):
+                    continue
+                result, _ = run_two_valued(ctx)
+                if isinstance(result, Declaration):
+                    variant = result.payload["variant"]
+                    assert variant == ("improved" if heavy >= 2 * light else "standard")
+                    seen.add(variant)
+        assert seen == {"standard", "improved"}
 
 
 class TestIntegerThresholds:
