@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from heapq import heapify, heappop, heappush
 
 from .errors import InvariantViolation, RegimeError
@@ -168,6 +169,49 @@ class ExploreResult:
     conflict: set[str]
     round_activated: list[list[str]] = field(default_factory=list)
     round_conflict: list[set[str]] = field(default_factory=list)
+    # set by the first push search on this labeling, and kept with it: the
+    # rank mask of each level's machines, and (source, rank mask of the
+    # level above) for every machine below the top level, by id
+    targets: list[int] | None = None
+    sources: list[tuple[str, int]] | None = None
+
+
+class _Ranks:
+    """Machines ranked by id string, and each movable's eligible machines as
+    a mask over those ranks, so the lowest bit of a mask is its least id.
+    Built once per reduced state, under ``ctx.cache["general"]``."""
+
+    def __init__(self, ctx: GuessContext):
+        self.machines = tuple(sorted(ctx.machine_ids))
+        self.rank = {v: i for i, v in enumerate(self.machines)}
+        self.eligible = {p.id: self.mask(p.eligible) for p in ctx.movables}
+
+    def mask(self, machines) -> int:
+        rank, mask = self.rank, 0
+        for v in machines:
+            mask |= 1 << rank[v]
+        return mask
+
+    def reach(self, movables) -> int:
+        """The rank mask of every machine some of *movables* may use."""
+        eligible, mask = self.eligible, 0
+        for p in movables:
+            mask |= eligible[p.id]
+        return mask
+
+
+def _ranked(ctx: GuessContext, result: ExploreResult) -> _Ranks:
+    """The context's ranks, with *result*'s targets and sources set."""
+    ranks = ctx.cache.get("general")
+    if ranks is None:
+        ranks = ctx.cache["general"] = _Ranks(ctx)
+    if result.sources is None:
+        targets = result.targets = [ranks.mask(ms) for ms in result.round_activated]
+        top = len(targets) - 1
+        result.sources = [
+            (u, targets[lvl + 1]) for u, lvl in sorted(result.levels.items()) if lvl < top
+        ]
+    return ranks
 
 
 def explore(
@@ -347,15 +391,17 @@ def find_push_general(
     a conflict-set leaf.
 
     *result* must come from ``explore`` on *state*.  Sources and movables
-    are walked in id order, so the first hit is the least, and the target
-    test, which depends on the target alone, runs at most once per machine.
+    are walked in id order, and each movable's targets are the bits of its
+    rank mask within the level above, lowest (least id) first, so the first
+    hit is the least.  The target test depends on the target alone; a
+    refused target is masked out for the rest of the call.
     """
     orient = result.orientation
     ml = state.loads
     bound = th.push_bound
-    rounds = result.round_activated  # rounds[lvl]: the machines at level lvl
-    by_level: dict[int, set[str]] = {}
-    verdict: dict[str, bool] = {}
+    ranks = _ranked(ctx, result)
+    eligible, machines = ranks.eligible, ranks.machines
+    refused = 0
 
     def accepts(v: str) -> bool:
         base = ctx.dedicated[v] + ml[v]
@@ -369,20 +415,53 @@ def find_push_general(
             )
         return True
 
-    for u in sorted(result.levels):
-        lvl = result.levels[u] + 1
-        if lvl == len(rounds):
-            continue
-        up = by_level.get(lvl)
-        if up is None:
-            up = by_level[lvl] = set(rounds[lvl])
+    for u, up in result.sources:
         for p in state.at[u]:
-            for v in sorted(p.eligible & up):
-                if v not in verdict:
-                    verdict[v] = accepts(v)
-                if verdict[v]:
+            hits = eligible[p.id] & up & ~refused
+            while hits:
+                low = hits & -hits
+                v = machines[low.bit_length() - 1]
+                if accepts(v):
                     return PushMove(p.id, u, v)
+                refused |= low
+                hits ^= low
     return None
+
+
+def _keeps_labels(
+    ctx: GuessContext,
+    state: PushState,
+    result: ExploreResult,
+    move: PushMove,
+    th: ThresholdsG,
+    reach: dict[str, int],
+) -> bool:
+    """Whether ``explore`` on *state*, just after *move*, would return
+    *result* again, in a context without edges.
+
+    Without edges nothing is oriented, absorbed or activated by a rule:
+    ``explore`` is a breadth-first search whose level 0 is the overloaded
+    machines and whose level k+1 is the unlabeled machines some movable on
+    level k may use, and its conflict set is the labeled set.  Moving p from
+    u (level l) to v (level l+1) keeps level 0 if u stays overloaded when
+    l = 0 and v does not become overloaded.  It keeps levels 1 to l, whose
+    movables stay put, and every level above l+1, since each machine p may
+    use is labeled l+1 or lower.  Level l+1 is kept iff the movables left on
+    level l still reach every machine of it that p reaches.  *reach* maps
+    each machine to the rank mask of its movables' machines, after the move.
+    """
+    level = result.levels[move.source]
+    if level == 0 and state.total(move.source) <= th.overload_bound:
+        return False
+    if state.total(move.target) > th.overload_bound:
+        return False
+    ranks = _ranked(ctx, result)
+    lost = ranks.eligible[move.movable_id] & result.targets[level + 1]
+    for w in result.round_activated[level]:
+        if not lost:
+            break
+        lost &= ~reach[w]
+    return not lost
 
 
 def _complete_orientation(ctx: GuessContext, orient: Orientation):
@@ -410,14 +489,33 @@ def _complete_orientation(ctx: GuessContext, orient: Orientation):
 def run_general(
     ctx: GuessContext, trace: list | None = None
 ) -> tuple[dict[str, str] | Declaration, int]:
-    """Iterate explore + push from a fresh orientation each time; returns
-    the result and the number of pushes."""
+    """Iterate explore + push; returns the result and the number of pushes.
+
+    In a context without edges, a push that provably leaves the labeling as
+    it was keeps it (see ``_keeps_labels``); every other push restarts
+    ``explore`` from a fresh orientation."""
     if ctx.mode.value != "general":
         raise RegimeError("general core requires a general-mode context")
     th = ThresholdsG.make(ctx.t, ctx.beta)
     state = PushState(ctx)
+    reach: dict[str, int] | None = None  # built at the first edge-free push
 
-    def relabel(state: PushState) -> ExploreResult:
+    def relabel(
+        state: PushState,
+        move: PushMove | None = None,
+        before: ExploreResult | None = None,
+    ) -> ExploreResult:
+        nonlocal reach
+        if move is not None and not ctx.graph.edges:
+            ranks = _ranked(ctx, before)
+            if reach is None:
+                reach = {v: ranks.reach(at) for v, at in state.at.items()}
+            else:
+                reach[move.source] = ranks.reach(state.at[move.source])
+                reach[move.target] |= ranks.eligible[move.movable_id]
+            if _keeps_labels(ctx, state, before, move, th, reach):
+                state.potential -= 1  # p rose one level, nothing else moved
+                return before
         mark = len(trace) if trace is not None else 0
         result = explore(ctx, state, th, trace=trace)
         if trace is not None:
@@ -432,7 +530,7 @@ def run_general(
         move = find_push_general(ctx, state, result, th)
         if move is None:
             return _declaration(ctx, state, result), state.pushes
-        result = push(state, move, relabel, trace)
+        result = push(state, move, partial(relabel, move=move, before=result), trace)
     return _finish(ctx, state, result, th), state.pushes
 
 

@@ -76,7 +76,9 @@ class MovableJob:
     id: str
     weight: int
     eligible: frozenset[str]
-    mask: int  # bit machine_index[v] set for every eligible v
+    # bit machine_index[v] set for every eligible v; only the general core
+    # reads it, so it is None outside general mode
+    mask: int | None
 
 
 @dataclass(frozen=True)
@@ -347,7 +349,8 @@ class GuessContext:
     forced: tuple[tuple[str, str], ...]
     twins: tuple[TwinFold, ...] = field(default=())
     # what a core builds once for this reduced state (relief's flow
-    # network); contexts of one memoised edge set share it
+    # network, general's machine ranks); contexts of one memoised edge set
+    # share it
     cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -479,9 +482,8 @@ def classify_jobs(
             u, v = instance.sorted_eligible(job)
             edge_jobs.append(EdgeJob(job.id, u, v, job.weight))
         else:
-            movables.append(
-                MovableJob(job.id, job.weight, job.eligible, _mask(instance, job.eligible))
-            )
+            mask = _mask(instance, job.eligible) if mode == SolveMode.GENERAL else None
+            movables.append(MovableJob(job.id, job.weight, job.eligible, mask))
     return edge_jobs, movables
 
 
@@ -512,7 +514,8 @@ class _EdgeSetReduction:
     twin pass, in order: a guess below a checkpoint's peak overflows there.
     Past the checkpoints, ``multi_cycle`` rules out every guess; without one
     the remaining fields are the reduced state.  ``cache`` is where a core
-    keeps what it builds once for this state (relief's flow network).
+    keeps what it builds once for this state (relief's flow network,
+    general's machine ranks).
     """
 
     checkpoints: list[tuple[int, dict[str, int]]]
@@ -629,9 +632,8 @@ def _reduce_edge_set(basis: _SolveBasis, t: int) -> _EdgeSetReduction:
             diff = first.weight - second.weight
             if diff > 0:
                 pid = f"~{first.id}+{second.id}"
-                movables.append(
-                    MovableJob(pid, diff, frozenset((u, v)), _mask(instance, (u, v)))
-                )
+                mask = _mask(instance, pair) if basis.mode == SolveMode.GENERAL else None
+                movables.append(MovableJob(pid, diff, pair, mask))
                 twins.append(TwinFold(pid, first.id, second.id, u, v))
             else:
                 twins.append(TwinFold(None, first.id, second.id, u, v))

@@ -86,7 +86,8 @@ def push(state: PushState, move: PushMove, relabel, trace: list | None = None):
 
     ``relabel(state)`` must set ``state.levels`` and ``state.potential``;
     its result is returned.  No level may drop (a machine labeled now was
-    labeled before, no higher), the potential must strictly drop, and the
+    labeled before, no higher; a relabeling that keeps the levels object
+    keeps every level), the potential must strictly drop, and the
     pushes must stay within #machines * #movables; a breach means the state
     is corrupt.  The push event goes to *trace* before the relabeling's
     events, with the push's number and the potential before it.
@@ -105,14 +106,15 @@ def push(state: PushState, move: PushMove, relabel, trace: list | None = None):
             }
         )
     result = relabel(state)
-    for v, after in state.levels.items():
-        before = old_levels.get(v)
-        if before is None or before > after:
-            raise InvariantViolation(
-                f"level of {v} dropped from "
-                f"{'unlabeled' if before is None else before} to {after} "
-                "across a push"
-            )
+    if state.levels is not old_levels:
+        for v, after in state.levels.items():
+            before = old_levels.get(v)
+            if before is None or before > after:
+                raise InvariantViolation(
+                    f"level of {v} dropped from "
+                    f"{'unlabeled' if before is None else before} to {after} "
+                    "across a push"
+                )
     if state.potential >= old_potential:
         raise InvariantViolation(
             f"potential did not drop: {old_potential} -> {state.potential}"

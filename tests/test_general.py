@@ -29,7 +29,8 @@ from graphbalance.general import (
     forced_orientations,
     run_general,
 )
-from graphbalance.push import PushMove, PushState
+from graphbalance import general
+from graphbalance.push import PushMove, PushState, potential_value
 
 from conftest import assert_push_events, build, loaded_general
 
@@ -453,6 +454,100 @@ class TestAgainstRescanningReference:
                 steps += 1
                 cascades += bool(slow_trace)
         assert steps >= 300 and cascades >= 80
+
+
+def kept_label_contexts():
+    """The edge-free contexts of ``seeded_contexts()``, then n = 4m
+    generated instances at guesses around their least feasible t."""
+    for ctx, beta, _ in seeded_contexts():
+        if not ctx.graph.edges:
+            yield ctx
+    for seed in range(12):
+        m = (6, 10, 16, 24, 32, 40)[seed % 6]
+        inst = generate_general(m, 4 * m, BETAS[seed % 4], 100, seed)
+        t_star = solve(inst, SolveMode.GENERAL, BETAS[seed % 4]).t_star
+        for t in (t_star - 4, t_star, t_star + 4):
+            if t < inst.max_weight():
+                continue
+            ctx = reduce_instance(inst, t, SolveMode.GENERAL, BETAS[seed % 4])
+            if not isinstance(ctx, Declaration) and not ctx.graph.edges:
+                yield ctx
+
+
+class TestKeptLabels:
+    """Without edges, ``run_general`` keeps its labeling across a push that
+    leaves it unchanged; after every push the kept or restarted labeling
+    equals a fresh ``explore`` and the push search equals the rescanning
+    one.  The kept-labels test is exact: a restart always changes levels."""
+
+    def test_kept_or_restarted_labeling_matches_a_fresh_explore(self, monkeypatch):
+        tally = dict.fromkeys(("kept", "left_level_0", "only_support"), 0)
+        real_push, real_find = general.push, general.find_push_general
+
+        for ctx in list(kept_label_contexts()):  # solve() runs unpatched
+            th = ThresholdsG.make(ctx.t, ctx.beta)
+            exact = exact_thresholds(ctx.t, ctx.beta)
+
+            def find(ctx_, state, result, th_):
+                move = real_find(ctx_, state, result, th_)
+                assert move == rescanning_find_push(ctx, state.placement, result, exact)
+                return move
+
+            def checked_push(state, move, relabel, trace=None):
+                before = state.levels
+                level = before[move.source]
+                mark = len(trace)
+                result = real_push(state, move, relabel, trace)
+                fresh_trace = []
+                fresh = explore(ctx, state, th, trace=fresh_trace)
+                assert result.levels == fresh.levels
+                assert result.levels is state.levels
+                assert result.round_activated == fresh.round_activated
+                assert result.round_conflict == fresh.round_conflict
+                assert result.conflict == fresh.conflict
+                assert result.orientation.head == fresh.orientation.head
+                assert trace[mark + 1:] == [
+                    {**event, "iteration": state.pushes} for event in fresh_trace
+                ]
+                assert state.potential == potential_value(ctx, state.at, state.levels)
+                if state.levels is before:
+                    tally["kept"] += 1
+                    return result
+                # a restart changes the labeling, and names one of the reasons
+                assert fresh.levels != before
+                assert state.total(move.target) <= th.overload_bound
+                if level == 0 and state.total(move.source) <= th.overload_bound:
+                    tally["left_level_0"] += 1
+                else:
+                    tally["only_support"] += 1
+                return result
+
+            monkeypatch.setattr(general, "push", checked_push)
+            monkeypatch.setattr(general, "find_push_general", find)
+            trace = []
+            _, pushes = run_general(ctx, trace)
+            assert_push_events(trace, pushes)
+        assert tally["kept"] >= 1500
+        assert tally["left_level_0"] >= 100 and tally["only_support"] >= 50
+
+    def test_contexts_with_edges_always_restart(self, monkeypatch):
+        """With edges, every push gets a fresh labeling."""
+        real_push = general.push
+        pushes = 0
+
+        def restarting_push(state, move, relabel, trace=None):
+            nonlocal pushes
+            before = state.levels
+            result = real_push(state, move, relabel, trace)
+            assert state.levels is not before
+            pushes += 1
+            return result
+
+        monkeypatch.setattr(general, "push", restarting_push)
+        for ctx, _, _ in seeded_contexts():
+            if ctx.graph.edges:
+                run_general(ctx)
+        assert pushes >= 50
 
 
 class TestPushState:
