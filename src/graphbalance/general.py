@@ -29,7 +29,7 @@ from .preprocess import (
     min_edge_load_into,
     orient_components,
 )
-from .push import PushMove, PushState, potential_value, push
+from .push import PushMove, PushState, first_push, potential_value, push
 
 
 @dataclass(frozen=True)
@@ -169,49 +169,20 @@ class ExploreResult:
     conflict: set[str]
     round_activated: list[list[str]] = field(default_factory=list)
     round_conflict: list[set[str]] = field(default_factory=list)
-    # set by the first push search on this labeling, and kept with it: the
-    # rank mask of each level's machines, and (source, rank mask of the
-    # level above) for every machine below the top level, by id
-    targets: list[int] | None = None
+    # the mask of each level's machines
+    targets: list[int] = field(default_factory=list)
+    # set by the first push search on this labeling, and kept with it:
+    # (source, mask of the level above) for every machine below the top
+    # level, by id
     sources: list[tuple[str, int]] | None = None
 
 
-class _Ranks:
-    """Machines ranked by id string, and each movable's eligible machines as
-    a mask over those ranks, so the lowest bit of a mask is its least id.
-    Built once per reduced state, under ``ctx.cache["general"]``."""
-
-    def __init__(self, ctx: GuessContext):
-        self.machines = tuple(sorted(ctx.machine_ids))
-        self.rank = {v: i for i, v in enumerate(self.machines)}
-        self.eligible = {p.id: self.mask(p.eligible) for p in ctx.movables}
-
-    def mask(self, machines) -> int:
-        rank, mask = self.rank, 0
-        for v in machines:
-            mask |= 1 << rank[v]
-        return mask
-
-    def reach(self, movables) -> int:
-        """The rank mask of every machine some of *movables* may use."""
-        eligible, mask = self.eligible, 0
-        for p in movables:
-            mask |= eligible[p.id]
-        return mask
-
-
-def _ranked(ctx: GuessContext, result: ExploreResult) -> _Ranks:
-    """The context's ranks, with *result*'s targets and sources set."""
-    ranks = ctx.cache.get("general")
-    if ranks is None:
-        ranks = ctx.cache["general"] = _Ranks(ctx)
-    if result.sources is None:
-        targets = result.targets = [ranks.mask(ms) for ms in result.round_activated]
-        top = len(targets) - 1
-        result.sources = [
-            (u, targets[lvl + 1]) for u, lvl in sorted(result.levels.items()) if lvl < top
-        ]
-    return ranks
+def _reach(movables) -> int:
+    """The mask of every machine some of *movables* may use."""
+    mask = 0
+    for p in movables:
+        mask |= p.mask
+    return mask
 
 
 def explore(
@@ -245,7 +216,8 @@ def explore(
     previous pass activated.
     """
     ml, at = state.loads, state.at
-    graph, index, machine_ids = ctx.graph, ctx.index, ctx.machine_ids
+    graph, index = ctx.graph, ctx.index
+    rank, names = ctx.instance.name_rank, ctx.instance.name_order
     orient = Orientation(graph)
     head, in_load = orient.head, orient.in_load
     forced_orientations(ctx, orient, ml, th, graph.nodes, trace)
@@ -254,7 +226,7 @@ def explore(
     levels: dict[str, int] = {}
     conflict: set[str] = set()
     result = ExploreResult(orient, levels, conflict)
-    labeled = 0  # bit index(v) for every v in levels
+    labeled = 0  # the mask of every labeled machine
     # (tail in the conflict set, head, edge id, edge); stale once the edge
     # is directed.  A reduced graph has no parallel edges, so (tail, head)
     # already decides the order.
@@ -364,17 +336,20 @@ def explore(
         result.round_activated.append(activated_now)
         result.round_conflict.append(conflict_now)
         round_no += 1
-        reach = 0
+        mask = reach = 0
         for u in activated_now:
-            labeled |= 1 << index(u)
+            mask |= 1 << rank[u]
             for p in at[u]:
                 reach |= p.mask
+        result.targets.append(mask)
+        labeled |= mask
         reach &= ~labeled
         batch = []
         while reach:
             low = reach & -reach
-            batch.append(machine_ids[low.bit_length() - 1])
+            batch.append(names[low.bit_length() - 1])
             reach ^= low
+        batch.sort(key=index)
 
     return result
 
@@ -390,18 +365,17 @@ def find_push_general(
     both on current load and against every father edge unless the target is
     a conflict-set leaf.
 
-    *result* must come from ``explore`` on *state*.  Sources and movables
-    are walked in id order, and each movable's targets are the bits of its
-    rank mask within the level above, lowest (least id) first, so the first
-    hit is the least.  The target test depends on the target alone; a
-    refused target is masked out for the rest of the call.
+    *result* must come from ``explore`` on *state*.  Sources are walked in
+    id order through ``first_push``, so the first hit is the least.
     """
     orient = result.orientation
     ml = state.loads
     bound = th.push_bound
-    ranks = _ranked(ctx, result)
-    eligible, machines = ranks.eligible, ranks.machines
-    refused = 0
+    if result.sources is None:
+        targets, top = result.targets, len(result.targets) - 1
+        result.sources = [
+            (u, targets[lvl + 1]) for u, lvl in sorted(result.levels.items()) if lvl < top
+        ]
 
     def accepts(v: str) -> bool:
         base = ctx.dedicated[v] + ml[v]
@@ -415,21 +389,10 @@ def find_push_general(
             )
         return True
 
-    for u, up in result.sources:
-        for p in state.at[u]:
-            hits = eligible[p.id] & up & ~refused
-            while hits:
-                low = hits & -hits
-                v = machines[low.bit_length() - 1]
-                if accepts(v):
-                    return PushMove(p.id, u, v)
-                refused |= low
-                hits ^= low
-    return None
+    return first_push(state, result.sources, accepts)
 
 
 def _keeps_labels(
-    ctx: GuessContext,
     state: PushState,
     result: ExploreResult,
     move: PushMove,
@@ -448,15 +411,14 @@ def _keeps_labels(
     movables stay put, and every level above l+1, since each machine p may
     use is labeled l+1 or lower.  Level l+1 is kept iff the movables left on
     level l still reach every machine of it that p reaches.  *reach* maps
-    each machine to the rank mask of its movables' machines, after the move.
+    each machine to the mask of its movables' machines, after the move.
     """
     level = result.levels[move.source]
     if level == 0 and state.total(move.source) <= th.overload_bound:
         return False
     if state.total(move.target) > th.overload_bound:
         return False
-    ranks = _ranked(ctx, result)
-    lost = ranks.eligible[move.movable_id] & result.targets[level + 1]
+    lost = state.movable[move.movable_id].mask & result.targets[level + 1]
     for w in result.round_activated[level]:
         if not lost:
             break
@@ -507,13 +469,12 @@ def run_general(
     ) -> ExploreResult:
         nonlocal reach
         if move is not None and not ctx.graph.edges:
-            ranks = _ranked(ctx, before)
             if reach is None:
-                reach = {v: ranks.reach(at) for v, at in state.at.items()}
+                reach = {v: _reach(at) for v, at in state.at.items()}
             else:
-                reach[move.source] = ranks.reach(state.at[move.source])
-                reach[move.target] |= ranks.eligible[move.movable_id]
-            if _keeps_labels(ctx, state, before, move, th, reach):
+                reach[move.source] = _reach(state.at[move.source])
+                reach[move.target] |= state.movable[move.movable_id].mask
+            if _keeps_labels(state, before, move, th, reach):
                 state.potential -= 1  # p rose one level, nothing else moved
                 return before
         mark = len(trace) if trace is not None else 0

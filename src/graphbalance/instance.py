@@ -127,6 +127,23 @@ class Instance:
     def machine_ids(self) -> tuple[str, ...]:
         return tuple(self.machine_index)
 
+    @cached_property
+    def name_order(self) -> tuple[str, ...]:
+        """Machine ids in string order: bit i of every machine mask stands
+        for ``name_order[i]``, so a mask's lowest bit is its least id."""
+        return tuple(sorted(self.machine_index))
+
+    @cached_property
+    def name_rank(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.name_order)}
+
+    def mask(self, machines) -> int:
+        """The machine mask with the bit of every v in *machines* set."""
+        rank, mask = self.name_rank, 0
+        for v in machines:
+            mask |= 1 << rank[v]
+        return mask
+
     def sorted_eligible(self, job: JobSpec) -> list[str]:
         """Eligible machines of *job* in instance machine order."""
         return sorted(job.eligible, key=self.machine_index.__getitem__)

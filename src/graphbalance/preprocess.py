@@ -66,19 +66,13 @@ class EdgeJob:
     def other(self, node: str) -> str:
         return self.v if node == self.u else self.u
 
-    @property
-    def ends(self) -> frozenset[str]:
-        return frozenset((self.u, self.v))
-
 
 @dataclass(frozen=True)
 class MovableJob:
     id: str
     weight: int
     eligible: frozenset[str]
-    # bit machine_index[v] set for every eligible v; only the general core
-    # reads it, so it is None outside general mode
-    mask: int | None
+    mask: int  # instance.mask(eligible): both push cores search its bits
 
 
 @dataclass(frozen=True)
@@ -349,8 +343,7 @@ class GuessContext:
     forced: tuple[tuple[str, str], ...]
     twins: tuple[TwinFold, ...] = field(default=())
     # what a core builds once for this reduced state (relief's flow
-    # network, general's machine ranks); contexts of one memoised edge set
-    # share it
+    # network); contexts of one memoised edge set share it
     cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -449,15 +442,6 @@ def _edge_floor(
     raise ValueError("classification requires a resolved mode")
 
 
-def _mask(instance: Instance, machines) -> int:
-    """The bitmask with bit ``machine_index[v]`` set for every v in *machines*."""
-    index = instance.machine_index
-    mask = 0
-    for v in machines:
-        mask |= 1 << index[v]
-    return mask
-
-
 def classify_jobs(
     instance: Instance, t: int, mode: SolveMode, beta: Fraction | None = None
 ) -> tuple[list[EdgeJob], list[MovableJob]]:
@@ -482,8 +466,9 @@ def classify_jobs(
             u, v = instance.sorted_eligible(job)
             edge_jobs.append(EdgeJob(job.id, u, v, job.weight))
         else:
-            mask = _mask(instance, job.eligible) if mode == SolveMode.GENERAL else None
-            movables.append(MovableJob(job.id, job.weight, job.eligible, mask))
+            movables.append(
+                MovableJob(job.id, job.weight, job.eligible, instance.mask(job.eligible))
+            )
     return edge_jobs, movables
 
 
@@ -514,8 +499,7 @@ class _EdgeSetReduction:
     twin pass, in order: a guess below a checkpoint's peak overflows there.
     Past the checkpoints, ``multi_cycle`` rules out every guess; without one
     the remaining fields are the reduced state.  ``cache`` is where a core
-    keeps what it builds once for this state (relief's flow network,
-    general's machine ranks).
+    keeps what it builds once for this state (relief's flow network).
     """
 
     checkpoints: list[tuple[int, dict[str, int]]]
@@ -570,9 +554,15 @@ def _solve_basis(
 
 
 def _reduce_edge_set(basis: _SolveBasis, t: int) -> _EdgeSetReduction:
-    """Fold pendant trees of one-cycle components and replace parallel edge
-    pairs by a movable of the weight difference, to a fixpoint, recording
-    the dedicated loads after every pass that changed them."""
+    """Fold pendant trees of one-cycle components, then replace parallel
+    edge pairs by a movable of the weight difference, recording the
+    dedicated loads after each of the two passes that changed them.
+
+    One round of the two passes suffices: removing edges creates no cycle,
+    and once the pendant trees are folded each parallel pair is a whole
+    component, so the graph left has only isolated, tree and cycle
+    components, which the closing check confirms.
+    """
     instance = basis.instance
     order = instance.machine_index.__getitem__
     nodes = tuple(instance.machine_ids)
@@ -586,75 +576,69 @@ def _reduce_edge_set(basis: _SolveBasis, t: int) -> _EdgeSetReduction:
         checkpoints.append((max(dedicated.values(), default=0), dict(dedicated)))
 
     edge_jobs, movables = classify_jobs(instance, t, basis.mode, basis.beta)
-    while True:
-        graph = EdgeGraph(nodes, tuple(edge_jobs))
-        changed = False
-        for comp in graph.components():
-            if comp.kind == "multi_cycle":
-                return _EdgeSetReduction(checkpoints, multi_cycle=comp)
-            if comp.kind == "one_cycle":
-                _, _, folds = _prune_to_core(graph, comp)
-                dropped = set()
-                for edge, head in folds:
-                    dedicated[head] += edge.weight
-                    forced.append((edge.id, head))
-                    dropped.add(edge.id)
-                    log.append(
-                        {
-                            "op": "fold_forced_edge",
-                            "edge": edge.id,
-                            "machine": head,
-                            "weight": edge.weight,
-                        }
-                    )
-                edge_jobs = [e for e in edge_jobs if e.id not in dropped]
-                changed = True
-        if changed:
-            checkpoint()
-
-        by_pair: dict[frozenset[str], list[EdgeJob]] = {}
-        for e in edge_jobs:
-            by_pair.setdefault(e.ends, []).append(e)
-        doubled = False
-        for pair, bucket in sorted(
-            by_pair.items(), key=lambda kv: tuple(sorted(map(order, kv[0])))
-        ):
-            if len(bucket) < 2:
-                continue
-            if len(bucket) != 2:
-                raise InvariantViolation(
-                    "3+ parallel edges imply a multi-cycle component"
+    graph = EdgeGraph(nodes, tuple(edge_jobs))
+    dropped: set[str] = set()
+    for comp in graph.components():
+        if comp.kind == "multi_cycle":
+            return _EdgeSetReduction(checkpoints, multi_cycle=comp)
+        if comp.kind == "one_cycle":
+            _, _, folds = _prune_to_core(graph, comp)
+            for edge, head in folds:
+                dedicated[head] += edge.weight
+                forced.append((edge.id, head))
+                dropped.add(edge.id)
+                log.append(
+                    {
+                        "op": "fold_forced_edge",
+                        "edge": edge.id,
+                        "machine": head,
+                        "weight": edge.weight,
+                    }
                 )
-            first, second = sorted(bucket, key=lambda e: (-e.weight, e.id))
-            u, v = sorted(pair, key=order)
-            dedicated[u] += second.weight
-            dedicated[v] += second.weight
-            diff = first.weight - second.weight
-            if diff > 0:
-                pid = f"~{first.id}+{second.id}"
-                mask = _mask(instance, pair) if basis.mode == SolveMode.GENERAL else None
-                movables.append(MovableJob(pid, diff, pair, mask))
-                twins.append(TwinFold(pid, first.id, second.id, u, v))
-            else:
-                twins.append(TwinFold(None, first.id, second.id, u, v))
-            log.append(
-                {
-                    "op": "fold_parallel_pair",
-                    "edges": [first.id, second.id],
-                    "nodes": [u, v],
-                    "folded_weight": second.weight,
-                    "movable": f"~{first.id}+{second.id}" if diff > 0 else None,
-                }
-            )
-            dropped = {first.id, second.id}
-            edge_jobs = [e for e in edge_jobs if e.id not in dropped]
-            doubled = True
-        if doubled:
-            checkpoint()
-        if not changed and not doubled:
-            break
+    if dropped:
+        checkpoint()
 
-    # the last pass changed nothing, so its graph is the reduced one
+    # classify_jobs puts each edge's ends in instance order, so (u, v)
+    # names its pair
+    by_pair: dict[tuple[str, str], list[EdgeJob]] = {}
+    for e in edge_jobs:
+        if e.id not in dropped:
+            by_pair.setdefault((e.u, e.v), []).append(e)
+    doubles = sorted(
+        ((pair, bucket) for pair, bucket in by_pair.items() if len(bucket) > 1),
+        key=lambda kv: (order(kv[0][0]), order(kv[0][1])),
+    )
+    for (u, v), bucket in doubles:
+        if len(bucket) != 2:
+            raise InvariantViolation(
+                "3+ parallel edges imply a multi-cycle component"
+            )
+        first, second = sorted(bucket, key=lambda e: (-e.weight, e.id))
+        dedicated[u] += second.weight
+        dedicated[v] += second.weight
+        diff = first.weight - second.weight
+        if diff > 0:
+            pid = f"~{first.id}+{second.id}"
+            pair = frozenset((u, v))
+            movables.append(MovableJob(pid, diff, pair, instance.mask(pair)))
+            twins.append(TwinFold(pid, first.id, second.id, u, v))
+        else:
+            twins.append(TwinFold(None, first.id, second.id, u, v))
+        log.append(
+            {
+                "op": "fold_parallel_pair",
+                "edges": [first.id, second.id],
+                "nodes": [u, v],
+                "folded_weight": second.weight,
+                "movable": f"~{first.id}+{second.id}" if diff > 0 else None,
+            }
+        )
+        dropped.update((first.id, second.id))
+    if doubles:
+        checkpoint()
+
+    if dropped:
+        graph = EdgeGraph(nodes, tuple(e for e in edge_jobs if e.id not in dropped))
     for comp in graph.components():
         if comp.kind not in ("isolated", "tree", "cycle") or (
             comp.kind == "cycle" and len(comp.nodes) < 3
@@ -695,9 +679,9 @@ def reduce_instance(
 
     In order: fold single-machine jobs, check dedicated loads against t,
     classify, reject components with two or more cycles, fold pendant trees
-    of one-cycle components, replace parallel edge pairs by a movable of the
-    weight difference, and repeat to a fixpoint, checking the dedicated
-    loads after every pass.  The log records each step.
+    of one-cycle components, and replace parallel edge pairs by a movable of
+    the weight difference, checking the dedicated loads after each of these
+    passes.  The log records each step.
 
     The work depends on t only through the edge set and those checks, so a
     solve passes one *memo* dict to all its guesses: singles are folded

@@ -73,6 +73,30 @@ class PushState:
         return source
 
 
+def first_push(state: PushState, sources, accepts) -> PushMove | None:
+    """The first push over *sources*, ``(source, mask of the level above)``
+    pairs in the order the core searches them.
+
+    Each source's movables are walked by id, and each movable's targets are
+    the bits of its mask within the level above, lowest (least id) first.
+    ``accepts(v)`` must depend on the target v alone, so a refused target
+    stays masked out for the rest of the call.
+    """
+    names = state.ctx.instance.name_order
+    refused = 0
+    for u, up in sources:
+        for p in state.at[u]:
+            hits = p.mask & up & ~refused
+            while hits:
+                low = hits & -hits
+                v = names[low.bit_length() - 1]
+                if accepts(v):
+                    return PushMove(p.id, u, v)
+                refused |= low
+                hits ^= low
+    return None
+
+
 def potential_value(
     ctx: GuessContext, at: dict[str, list], levels: dict[str, int]
 ) -> int:

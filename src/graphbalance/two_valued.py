@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import partial
 
 from .errors import InvariantViolation, RegimeError, StaleMoveError
 from .preprocess import (
@@ -22,7 +23,7 @@ from .preprocess import (
     GuessContext,
     orient_components,
 )
-from .push import PushMove, PushState, potential_value, push
+from .push import PushMove, PushState, first_push, potential_value, push
 
 
 class NodeClass(IntEnum):
@@ -64,8 +65,9 @@ class TwoValuedState(PushState):
 
     ``classes`` holds every machine's class, ``hot[i]`` the tight-or-worse
     machines of component ``i`` and ``stuck[i]`` its status.  ``move`` keeps
-    them current, so nothing is rebuilt between pushes.  ``levels`` and
-    their ``potential`` are set by ``label_levels``.
+    them current, so nothing is rebuilt between pushes.  ``levels``, the
+    mask of each level's machines in ``targets``, and their ``potential``
+    are set by ``label_levels``.
     """
 
     def __init__(self, ctx: GuessContext, thresholds: Thresholds,
@@ -76,15 +78,13 @@ class TwoValuedState(PushState):
         self.comp_index = {
             v: i for i, comp in enumerate(self.components) for v in comp.nodes
         }
-        self.component_of = {
-            v: self.components[i] for v, i in self.comp_index.items()
-        }
         self.classes = {v: classify_node(v, self) for v in ctx.machine_ids}
         self.hot = [
             {v for v in comp.nodes if self.classes[v] >= NodeClass.TIGHT}
             for comp in self.components
         ]
         self.stuck = [self._stuck_at(i) for i in range(len(self.components))]
+        self.targets: list[int] = []
 
     def _stuck_at(self, i: int) -> bool:
         return _stuck(self.components[i].kind, [self.classes[v] for v in self.hot[i]])
@@ -158,6 +158,7 @@ def label_levels(state: TwoValuedState) -> None:
         key=ctx.index,
     )
     levels = dict.fromkeys(frontier, 0)
+    targets = [ctx.instance.mask(frontier)]
     level = 0
     while True:
         level += 1
@@ -178,7 +179,8 @@ def label_levels(state: TwoValuedState) -> None:
         frontier = sorted(reachable, key=ctx.index) + sorted(pulled, key=ctx.index)
         for v in frontier:
             levels[v] = level
-    state.levels = levels
+        targets.append(ctx.instance.mask(frontier))
+    state.levels, state.targets = levels, targets
     state.potential = potential_value(ctx, state.at, levels)
 
 
@@ -197,41 +199,22 @@ def _target_accepts(state: TwoValuedState, v: str) -> bool:
     return not _stuck(state.components[i].kind, hot)
 
 
-def _push_from(
-    state: TwoValuedState, u: str, verdict: dict[str, bool]
-) -> PushMove | None:
-    """The first movable on *u*, by id, with an accepting target one level
-    up, and its least such target; *verdict* caches each target's test."""
-    levels = state.levels
-    up = levels[u] + 1
-    for p in state.at[u]:
-        hits = []
-        for v in p.eligible:
-            if levels.get(v) != up:
-                continue
-            if v not in verdict:
-                verdict[v] = _target_accepts(state, v)
-            if verdict[v]:
-                hits.append(v)
-        if hits:
-            return PushMove(p.id, u, min(hits))
-    return None
+def _sources(state: TwoValuedState, below: int) -> list[tuple[str, int]]:
+    """``(source, mask of the level above)`` for every machine labeled
+    below *below*, by (level, id)."""
+    targets = state.targets
+    return [
+        (u, targets[lvl + 1])
+        for lvl, u in sorted((lvl, u) for u, lvl in state.levels.items() if lvl < below)
+    ]
 
 
 def find_push(state: TwoValuedState) -> PushMove | None:
-    """The least ``(level, source, movable, target)`` push.
-
-    Sources are walked by (level, id) and their movables by id, so the first
-    movable with an accepting target one level up wins, with its least
-    target; each target is tested at most once per call.
-    """
-    levels = state.levels
-    verdict: dict[str, bool] = {}
-    for u in sorted(levels, key=lambda x: (levels[x], x)):
-        move = _push_from(state, u, verdict)
-        if move is not None:
-            return move
-    return None
+    """The least ``(level, source, movable, target)`` push: the first
+    movable, by (level, source, id), with an accepting target one level up,
+    and its least such target."""
+    top = len(state.targets) - 1
+    return first_push(state, _sources(state, top), partial(_target_accepts, state))
 
 
 def apply_push(
@@ -253,12 +236,8 @@ def apply_push(
         or not _target_accepts(state, move.target)
     ):
         raise StaleMoveError(f"push {move} no longer satisfies its conditions")
-    verdict: dict[str, bool] = {}
-    if any(
-        _push_from(state, u, verdict) is not None
-        for u, lvl in state.levels.items()
-        if lvl < level
-    ):
+    accepts = partial(_target_accepts, state)
+    if first_push(state, _sources(state, level), accepts) is not None:
         raise StaleMoveError(f"push {move} is not from the least level with a push")
     push(state, move, label_levels, trace)
 

@@ -415,6 +415,7 @@ class TestAgainstRescanningReference:
                 assert fast.conflict == slow.conflict
                 assert fast.round_activated == slow.round_activated
                 assert fast.round_conflict == slow.round_conflict
+                assert fast.targets == [ctx.instance.mask(r) for r in slow.round_activated]
                 assert fast.orientation.head == slow.orientation.head
                 assert fast.orientation.in_load == slow.orientation.in_load
                 assert fast_trace == slow_trace
@@ -425,7 +426,7 @@ class TestAgainstRescanningReference:
                     break
                 state.move(move.movable_id, move.target)
             for p in ctx.movables:
-                assert p.mask == sum(2 ** ctx.index(v) for v in p.eligible)
+                assert p.mask == sum(2 ** ctx.instance.name_rank[v] for v in p.eligible)
         assert contexts >= 280 and rounds >= 600 and fakes >= 180
 
     def test_head_seeded_cascade_after_each_fake(self):
@@ -740,6 +741,27 @@ class TestPushConditions:
         assert ctx.dedicated["v"] + result.orientation.in_load["v"] <= th.push_bound
         # but its conflict-set father edge e2 weighs 100: 21 + 100 > 120
         assert find_push_general(ctx, state, result, th) is None
+
+
+    @pytest.mark.parametrize("q_on, target", [("m2", "m10"), ("m10", "m2")])
+    def test_least_target_id_not_instance_order(self, q_on, target):
+        # machines come as m9, m10, m2 but ids order as m10 < m2 < m9; q
+        # lifts one of m10 and m2 past the push bound of 120, and the push
+        # takes the least id among the two that still accept
+        ctx = general_ctx(
+            [("s", 100), ("m9", 100), ("m10", 100), ("m2", 100)],
+            [
+                ("p1", 60, ["s", "m9", "m10", "m2"]),
+                ("p2", 60, ["s", "m9", "m10", "m2"]),
+                ("q", 30, ["m10", "m2"]),
+            ],
+            t=100,
+        )
+        th = ThresholdsG.make(100, BETA)
+        state = PushState(ctx, {"p1": "s", "p2": "s", "q": q_on})
+        result = explore(ctx, state, th)
+        assert result.levels == {"s": 0, "m9": 1, "m10": 1, "m2": 1}
+        assert find_push_general(ctx, state, result, th) == PushMove("p1", "s", target)
 
 
 class TestRunCore:

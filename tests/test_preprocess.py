@@ -159,7 +159,7 @@ class TestReduce:
             for comp in ctx.graph.components():
                 assert comp.kind in ("isolated", "tree", "cycle")
                 assert len(comp.edges) <= len(comp.nodes)
-            pairs = [e.ends for e in ctx.graph.edges]
+            pairs = [frozenset((e.u, e.v)) for e in ctx.graph.edges]
             assert len(pairs) == len(set(pairs))  # no parallel edges left
             assert all(len(p.eligible) >= 2 for p in ctx.movables)
 

@@ -84,11 +84,12 @@ def rescanning_label_levels(state, th):
     machine in every round, scanning all machines for pulled tight nodes."""
     ctx = state.ctx
     classes = rescanning_classes(state, th)
-    stuck = {id(comp): rescanning_stuck(comp, classes) for comp in state.components}
+    stuck = [rescanning_stuck(comp, classes) for comp in state.components]
+    comp_of = state.comp_index
     levels = {
         v: 0
         for v in ctx.machine_ids
-        if classes[v] >= NodeClass.TIGHT and stuck[id(state.component_of[v])]
+        if classes[v] >= NodeClass.TIGHT and stuck[comp_of[v]]
     }
     labeled = set(levels)
     at = PushState(ctx, state.placement).at
@@ -102,15 +103,15 @@ def rescanning_label_levels(state, th):
         batch = sorted(reachable, key=ctx.index)
         if not batch:
             break
-        batch_comps = {id(state.component_of[v]) for v in batch}
+        batch_comps = {comp_of[v] for v in batch}
         pulled = [
             v
             for v in ctx.machine_ids
             if v not in labeled
             and v not in reachable
             and classes[v] >= NodeClass.TIGHT
-            and not stuck[id(state.component_of[v])]
-            and id(state.component_of[v]) in batch_comps
+            and not stuck[comp_of[v]]
+            and comp_of[v] in batch_comps
         ]
         for v in batch + pulled:
             levels[v] = level
@@ -122,7 +123,7 @@ def rescanning_accepts(state, th, v):
     classes = rescanning_classes(state, th)
     if classes[v] == NodeClass.SAFE:
         return True
-    comp = state.component_of[v]
+    comp = state.components[state.comp_index[v]]
     if rescanning_stuck(comp, classes):
         return False
     bumped = rescanning_classes(state, th, extra=(v, state.ctx.light_weight))
@@ -192,7 +193,7 @@ class TestComponentStatus:
             t=10,
             placement={f"l{i}": "a" for i in range(3)},
         )
-        comp = state.component_of["a"]
+        comp = state.components[state.comp_index["a"]]
         assert comp.kind == "isolated"
         assert component_is_stuck(comp, state.classes)
 
@@ -203,7 +204,7 @@ class TestComponentStatus:
             t=10,
             placement={"l0": "a"},
         )
-        comp = state.component_of["a"]
+        comp = state.components[state.comp_index["a"]]
         assert comp.kind == "tree"
         assert classify_node("a", state) == NodeClass.TIGHT
         assert not component_is_stuck(comp, state.classes)
@@ -220,7 +221,7 @@ class TestComponentStatus:
             t=10,
             placement={"l0": "a"},
         )
-        comp = state.component_of["a"]
+        comp = state.components[state.comp_index["a"]]
         assert comp.kind == "cycle"
         assert classify_node("a", state) == NodeClass.TIGHT
         assert component_is_stuck(comp, state.classes)
@@ -304,6 +305,23 @@ class TestPush:
         label_levels(state)
         move = find_push(state)
         assert move == PushMove("l0", "a", "b")
+
+    @pytest.mark.parametrize("k_on, target", [("m2", "m10"), ("m10", "m2")])
+    def test_least_target_id_not_instance_order(self, k_on, target):
+        # machines come as m9, m10, m2 but ids order as m10 < m2 < m9; the
+        # two k lights make one of m10 and m2 refuse a third light, and the
+        # push takes the least id among the two that still accept
+        state = make_state(
+            [("s", 10), ("m9", 0), ("m10", 10), ("m2", 0), ("x", 0), ("y", 0)],
+            [("h", 6, ["x", "y"])]
+            + [(f"l{i}", 2, ["s", "m9", "m10", "m2"]) for i in range(3)]
+            + [(f"k{i}", 2, ["m10", "m2"]) for i in range(2)],
+            t=10,
+            placement={"l0": "s", "l1": "s", "l2": "s", "k0": k_on, "k1": k_on},
+        )
+        label_levels(state)
+        assert state.levels == {"s": 0, "m9": 1, "m10": 1, "m2": 1}
+        assert find_push(state) == PushMove("l0", "s", target)
 
     def test_lowest_source_level_wins(self):
         # sources available at levels 0 and 1; the level-0 one must be chosen
