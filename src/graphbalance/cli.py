@@ -67,11 +67,10 @@ def _write_output(text: str, out: str | None) -> None:
 def _cmd_solve(args) -> int:
     instance = _read_instance(args.instance)
     mode = _MODES[args.mode]
-    beta = parse_fraction(args.beta) if args.beta else None
-    if mode == SolveMode.GENERAL and beta is None:
+    if mode == SolveMode.GENERAL and args.beta is None:
         raise ValidationError(["--beta p/q is required in general mode"])
     trace: list | None = [] if args.trace else None
-    solution = solve(instance, mode, beta, trace=trace)
+    solution = solve(instance, mode, args.beta, trace=trace)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             for event in trace:
@@ -81,22 +80,23 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.family == "two-valued":
-        instance = generate_two_valued(
-            args.m,
-            args.heavy,
-            args.light,
-            args.W,
-            args.w,
-            args.max_light_degree or args.m,
-            args.seed,
-        )
-    elif args.family == "general":
-        instance = generate_general(
-            args.m, args.n, parse_fraction(args.beta), args.Wmax, args.seed
-        )
-    else:
-        instance = generate_adversarial_path(args.k, args.scale)
+    try:
+        if args.family == "two-valued":
+            instance = generate_two_valued(
+                args.m,
+                args.heavy,
+                args.light,
+                args.W,
+                args.w,
+                args.max_light_degree or args.m,
+                args.seed,
+            )
+        elif args.family == "general":
+            instance = generate_general(args.m, args.n, args.beta, args.Wmax, args.seed)
+        else:
+            instance = generate_adversarial_path(args.k, args.scale)
+    except ValueError as exc:  # the generators refuse out-of-range sizes
+        raise ValidationError([str(exc)]) from None
     _write_output(serialize_instance(instance), args.out)
     return EXIT_OK
 
@@ -104,8 +104,15 @@ def _cmd_generate(args) -> int:
 def _cmd_verify(args) -> int:
     instance = _read_instance(args.instance)
     doc = json.loads(Path(args.result).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ParseError("result file must hold a JSON object")
     if "assignment" in doc:
-        valid, makespan = oracle.verify_solution(instance, doc["assignment"])
+        assignment = doc["assignment"]
+        if not isinstance(assignment, dict) or not all(
+            isinstance(v, str) for v in assignment.values()
+        ):
+            raise ParseError("'assignment' must map job ids to machine ids")
+        valid, makespan = oracle.verify_solution(instance, assignment)
         if not valid:
             print("invalid: assignment does not cover the jobs legally")
             return EXIT_INPUT
@@ -181,7 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("instance")
     p.add_argument("--mode", choices=sorted(_MODES), default="auto")
-    p.add_argument("--beta", help="exact fraction p/q (required with --mode general)")
+    p.add_argument(
+        "--beta",
+        type=parse_fraction,
+        help="exact fraction p/q (required with --mode general)",
+    )
     p.add_argument("--trace", help="write a JSON-lines event trace here")
     p.add_argument("--out", help="write the solution JSON here instead of stdout")
     p.set_defaults(func=_cmd_solve)
@@ -200,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     ge = fam.add_parser("general")
     ge.add_argument("--m", type=int, required=True)
     ge.add_argument("--n", type=int, required=True)
-    ge.add_argument("--beta", required=True)
+    ge.add_argument("--beta", type=parse_fraction, required=True)
     ge.add_argument("--Wmax", type=int, required=True)
     ge.add_argument("--seed", type=int, required=True)
     ge.add_argument("--out")

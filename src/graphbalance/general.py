@@ -21,7 +21,6 @@ from heapq import heapify, heappop, heappush
 
 from .errors import InvariantViolation, RegimeError
 from .preprocess import (
-    ACTIVATED_SET,
     Declaration,
     EdgeGraph,
     EdgeJob,
@@ -29,7 +28,7 @@ from .preprocess import (
     min_edge_load_into,
     orient_components,
 )
-from .push import PushMove, PushState, first_push, potential_value, push
+from .push import PushMove, PushState, declaration, first_push, potential_value, push
 
 
 @dataclass(frozen=True)
@@ -490,7 +489,10 @@ def run_general(
     while result.levels:
         move = find_push_general(ctx, state, result, th)
         if move is None:
-            return _declaration(ctx, state, result), state.pushes
+            conflict = sorted(result.conflict, key=ctx.index)
+            forced = min_edge_load_into(ctx.graph, result.levels.keys())
+            found = declaration(state, conflict=conflict, min_edge_load=forced)
+            return found, state.pushes
         result = push(state, move, partial(relabel, move=move, before=result), trace)
     return _finish(ctx, state, result, th), state.pushes
 
@@ -503,26 +505,5 @@ def _finish(ctx, state, result, th) -> dict[str, str]:
         if head is None:
             raise InvariantViolation(f"edge {e.id} left neutral")
         assignment[e.id] = head
-    for v in ctx.machine_ids:
-        load = state.total(v) + result.orientation.in_load[v]
-        if load > th.overload_bound:
-            raise InvariantViolation(
-                f"machine {v} finished at load {load} above the bound"
-            )
+    ctx.check_loads(assignment, th.overload_bound)
     return assignment
-
-
-def _declaration(ctx, state, result) -> Declaration:
-    activated = sorted(result.levels, key=ctx.index)
-    forced = min_edge_load_into(ctx.graph, set(activated))
-    payload = {
-        **ctx.mode_payload(),
-        "activated": activated,
-        "levels": dict(sorted(result.levels.items())),
-        "conflict": sorted(result.conflict, key=ctx.index),
-        "placement": dict(sorted(state.placement.items())),
-        "pl": dict(state.loads),
-        "dedicated": dict(ctx.dedicated),
-        "min_edge_load": forced,
-    }
-    return Declaration(ctx.t, ACTIVATED_SET, payload)

@@ -70,12 +70,7 @@ def run_matching(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, int]:
             break
 
     if unmatched is None:
-        loads = dict(ctx.dedicated)
-        for jid, w, _ in items:
-            loads[matched_job[jid]] += w
-        makespan = max(loads.values(), default=0)
-        if makespan > t:
-            raise InvariantViolation(f"matching exceeded t={t} with {makespan}")
+        ctx.check_loads(matched_job, t)
         return dict(matched_job), 0
 
     # Alternating BFS from the unmatched job: every reachable machine is

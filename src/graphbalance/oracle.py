@@ -165,6 +165,29 @@ REFUTED = "refuted"
 NEEDS_EXHAUSTIVE = "needs_exhaustive"
 
 
+def _ids(payload: dict, key: str) -> list[str]:
+    """``payload[key]`` as a list of ids; any other JSON type is malformed."""
+    value = payload.get(key)
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(x, str) for x in value
+    ):
+        raise MalformedDeclaration(f"payload needs a list of ids in {key!r}")
+    return list(value)
+
+
+def _id_map(payload: dict, key: str, kind: type) -> dict:
+    """``payload[key]`` as a map from ids to *kind* values."""
+    value = payload.get(key)
+    # type(), not isinstance(): a JSON true would pass as the int 1
+    if not isinstance(value, dict) or not all(
+        isinstance(k, str) and type(x) is kind for k, x in value.items()
+    ):
+        raise MalformedDeclaration(
+            f"payload needs an object of {kind.__name__} values in {key!r}"
+        )
+    return dict(value)
+
+
 def _payload_mode(payload: dict):
     try:
         mode = SolveMode(payload["mode"])
@@ -238,10 +261,9 @@ def verify_certificate(
     kind = declaration.kind
 
     if kind == preprocess.DEDICATED_OVERFLOW:
-        try:
-            machine = payload["machine"]
-        except KeyError:
-            raise MalformedDeclaration("dedicated_overflow payload lacks 'machine'")
+        machine = payload.get("machine")
+        if not isinstance(machine, str):
+            raise MalformedDeclaration("payload needs a machine id in 'machine'")
         if machine not in instance.machine_index:
             raise MalformedDeclaration(f"unknown machine {machine!r}")
         mode, beta = _payload_mode(payload)
@@ -251,11 +273,8 @@ def verify_certificate(
         return REFUTED
 
     if kind == preprocess.MULTI_CYCLE_COMPONENT:
-        try:
-            nodes = set(payload["nodes"])
-            edge_ids = list(payload["edges"])
-        except KeyError as exc:
-            raise MalformedDeclaration(f"multi_cycle payload lacks {exc}")
+        nodes = set(_ids(payload, "nodes"))
+        edge_ids = _ids(payload, "edges")
         if len(set(edge_ids)) != len(edge_ids):
             return REFUTED
         jobs = {j.id: j for j in instance.jobs}
@@ -273,10 +292,7 @@ def verify_certificate(
         return REFUTED
 
     if kind == preprocess.HALL_VIOLATION:
-        try:
-            job_ids = list(payload["jobs"])
-        except KeyError:
-            raise MalformedDeclaration("hall_violation payload lacks 'jobs'")
+        job_ids = _ids(payload, "jobs")
         mode, beta = _payload_mode(payload)
         if len(set(job_ids)) != len(job_ids):
             return REFUTED
@@ -301,11 +317,8 @@ def verify_certificate(
         return REFUTED
 
     if kind == preprocess.PREFLOW_HEIGHT:
-        try:
-            cut = list(payload["cut"])
-            captive = list(payload["captive_jobs"])
-        except KeyError as exc:
-            raise MalformedDeclaration(f"preflow_height payload lacks {exc}")
+        cut = _ids(payload, "cut")
+        captive = _ids(payload, "captive_jobs")
         mode, beta = _payload_mode(payload)
         cut_set = set(cut)
         if len(cut_set) != len(cut) or not cut_set <= set(instance.machine_index):
@@ -338,12 +351,9 @@ def _verify_activated_set(instance, declaration, allow_exhaustive: bool) -> str:
     payload = declaration.payload
     t = declaration.t
     mode, beta = _payload_mode(payload)
-    try:
-        activated = list(payload["activated"])
-        placement = dict(payload["placement"])
-        pl_snapshot = {k: int(v) for k, v in payload["pl"].items()}
-    except KeyError as exc:
-        raise MalformedDeclaration(f"activated_set payload lacks {exc}")
+    activated = _ids(payload, "activated")
+    placement = _id_map(payload, "placement", str)
+    pl_snapshot = _id_map(payload, "pl", int)
 
     reduced = preprocess.reduce_instance(instance, t, mode, beta)
     if isinstance(reduced, preprocess.Declaration):

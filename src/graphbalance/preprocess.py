@@ -12,10 +12,15 @@ cycle of length at least three, or an isolated node.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .errors import InvariantViolation, RegimeError, ValidationError
+from .errors import (
+    InvariantViolation,
+    MalformedDeclaration,
+    RegimeError,
+    ValidationError,
+)
 from .instance import (
     Instance,
     JobSpec,
@@ -52,8 +57,17 @@ class Declaration:
         return {"t": self.t, "kind": self.kind, "payload": self.payload}
 
     @staticmethod
-    def from_json(doc: dict) -> "Declaration":
-        return Declaration(int(doc["t"]), str(doc["kind"]), dict(doc["payload"]))
+    def from_json(doc) -> "Declaration":
+        """Read a declaration, refusing fields of the wrong JSON type."""
+        if not isinstance(doc, dict):
+            raise MalformedDeclaration("a declaration must be a JSON object")
+        t, kind, payload = doc.get("t"), doc.get("kind"), doc.get("payload")
+        if type(t) is not int or type(kind) is not str or type(payload) is not dict:
+            raise MalformedDeclaration(
+                "a declaration needs an integer 't', a string 'kind' and an "
+                "object 'payload'"
+            )
+        return Declaration(t, kind, dict(payload))
 
 
 @dataclass(frozen=True)
@@ -389,6 +403,18 @@ class GuessContext:
             full[job] = machine
         return full
 
+    def check_loads(self, assignment: dict[str, str], bound: int) -> None:
+        """Raise ``InvariantViolation`` if a machine's dedicated load plus the
+        reduced jobs *assignment* puts on it exceeds *bound*."""
+        loads = dict(self.dedicated)
+        for job in (*self.movables, *self.graph.edges):
+            loads[assignment[job.id]] += job.weight
+        for v, load in loads.items():
+            if load > bound:
+                raise InvariantViolation(
+                    f"machine {v} finished at load {load} above the bound {bound}"
+                )
+
     def to_instance(self) -> Instance:
         """Reduced state as a standalone instance (for equivalence checks)."""
         machines = tuple(
@@ -498,19 +524,12 @@ class _EdgeSetReduction:
     ``checkpoints`` holds ``(peak, dedicated)`` after each fold pass and each
     twin pass, in order: a guess below a checkpoint's peak overflows there.
     Past the checkpoints, ``multi_cycle`` rules out every guess; without one
-    the remaining fields are the reduced state.  ``cache`` is where a core
-    keeps what it builds once for this state (relief's flow network).
+    ``context`` is the reduced state, at the guess that first reduced it.
     """
 
     checkpoints: list[tuple[int, dict[str, int]]]
     multi_cycle: Component | None = None
-    dedicated: dict[str, int] = field(default_factory=dict)
-    movables: tuple[MovableJob, ...] = ()
-    graph: EdgeGraph | None = None
-    reductions: tuple[dict, ...] = ()
-    forced: tuple[tuple[str, str], ...] = ()
-    twins: tuple[TwinFold, ...] = ()
-    cache: dict = field(default_factory=dict)
+    context: GuessContext | None = None
 
 
 _BASIS = "basis"
@@ -648,8 +667,13 @@ def _reduce_edge_set(basis: _SolveBasis, t: int) -> _EdgeSetReduction:
             )
     if any(len(p.eligible) < 2 for p in movables):
         raise InvariantViolation("a reduced movable has fewer than two machines")
-    return _EdgeSetReduction(
-        checkpoints,
+    context = GuessContext(
+        instance=instance,
+        t=t,
+        mode=basis.mode,
+        beta=basis.beta,
+        heavy_weight=basis.heavy_weight,
+        light_weight=basis.light_weight,
         dedicated=dedicated,
         movables=tuple(movables),
         graph=graph,
@@ -657,6 +681,7 @@ def _reduce_edge_set(basis: _SolveBasis, t: int) -> _EdgeSetReduction:
         forced=tuple(forced),
         twins=tuple(twins),
     )
+    return _EdgeSetReduction(checkpoints, context=context)
 
 
 def _overflow(basis: _SolveBasis, t: int, loads: dict[str, int]) -> Declaration:
@@ -725,18 +750,4 @@ def reduce_instance(
                 **basis.mode_fields,
             },
         )
-    return GuessContext(
-        instance=instance,
-        t=t,
-        mode=mode,
-        beta=beta,
-        heavy_weight=basis.heavy_weight,
-        light_weight=basis.light_weight,
-        dedicated=entry.dedicated,
-        movables=entry.movables,
-        graph=entry.graph,
-        reductions=entry.reductions,
-        forced=entry.forced,
-        twins=entry.twins,
-        cache=entry.cache,
-    )
+    return replace(entry.context, t=t)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import InvariantViolation
-from .preprocess import GuessContext
+from .preprocess import ACTIVATED_SET, Declaration, GuessContext
 
 _by_id = attrgetter("id")
 
@@ -103,6 +103,23 @@ def potential_value(
     """The potential of *levels* with the movables per machine in *at*."""
     n = len(ctx.machine_ids)
     return sum((n - lvl) * len(at[v]) for v, lvl in levels.items())
+
+
+def declaration(state: PushState, **extra) -> Declaration:
+    """The activated-set witness that the guess is too low: the labeled
+    machines, their levels and the loads, then the core's own *extra*
+    fields."""
+    ctx = state.ctx
+    payload = {
+        **ctx.mode_payload(),
+        "activated": sorted(state.levels, key=ctx.index),
+        "levels": dict(sorted(state.levels.items())),
+        "placement": dict(sorted(state.placement.items())),
+        "pl": dict(state.loads),
+        "dedicated": dict(ctx.dedicated),
+        **extra,
+    }
+    return Declaration(ctx.t, ACTIVATED_SET, payload)
 
 
 def push(state: PushState, move: PushMove, relabel, trace: list | None = None):

@@ -24,9 +24,7 @@ def run_relief(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, int]:
         network = ctx.cache["relief"] = _FlowNetwork(ctx)
     items = network.items
     if not items:
-        makespan = max(ctx.dedicated.values(), default=0)
-        if makespan > t:
-            raise InvariantViolation(f"dedicated load {makespan} exceeds t={t}")
+        ctx.check_loads({}, t)
         return {}, 0
 
     feasible, result = network.check(ctx, t)
@@ -40,14 +38,7 @@ def run_relief(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, int]:
         return Declaration(t, PREFLOW_HEIGHT, payload), 0
 
     assignment = _round_flow(ctx, t, items, result)
-    weight = {jid: w for jid, w, _ in items}
-    loads = dict(ctx.dedicated)
-    for jid, v in assignment.items():
-        loads[v] += weight[jid]
-    makespan = max(loads.values(), default=0)
-    cap = t + max(weight.values()) - 1
-    if makespan > cap:
-        raise InvariantViolation(f"rounded flow reached {makespan} above {cap}")
+    ctx.check_loads(assignment, t + max(w for _, w, _ in items) - 1)
     return assignment, 0
 
 

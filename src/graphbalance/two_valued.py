@@ -15,15 +15,9 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
 
-from .errors import InvariantViolation, RegimeError, StaleMoveError
-from .preprocess import (
-    ACTIVATED_SET,
-    Component,
-    Declaration,
-    GuessContext,
-    orient_components,
-)
-from .push import PushMove, PushState, first_push, potential_value, push
+from .errors import RegimeError, StaleMoveError
+from .preprocess import Component, Declaration, GuessContext, orient_components
+from .push import PushMove, PushState, declaration, first_push, potential_value, push
 
 
 class NodeClass(IntEnum):
@@ -45,19 +39,18 @@ class Thresholds:
 
     safe_max: int
     tight_floor: int      # exclusive
-    overfull_floor: int   # exclusive
-    makespan_bound: int
+    overfull_floor: int   # exclusive; also the final makespan bound
     variant: str
 
     @staticmethod
     def standard(t: int, heavy: int, light: int) -> "Thresholds":
         base = 3 * t // 2
-        return Thresholds(base - heavy - light, base - heavy, base, base, "standard")
+        return Thresholds(base - heavy - light, base - heavy, base, "standard")
 
     @staticmethod
     def improved(t: int, heavy: int, light: int) -> "Thresholds":
         base = t + heavy // 2
-        return Thresholds(base - heavy - light, base - heavy, base, base, "improved")
+        return Thresholds(base - heavy - light, base - heavy, base, "improved")
 
 
 class TwoValuedState(PushState):
@@ -66,8 +59,8 @@ class TwoValuedState(PushState):
     ``classes`` holds every machine's class, ``hot[i]`` the tight-or-worse
     machines of component ``i`` and ``stuck[i]`` its status.  ``move`` keeps
     them current, so nothing is rebuilt between pushes.  ``levels``, the
-    mask of each level's machines in ``targets``, and their ``potential``
-    are set by ``label_levels``.
+    mask of each level's machines in ``targets``, the push ``sources`` and
+    their ``potential`` are set by ``label_levels``.
     """
 
     def __init__(self, ctx: GuessContext, thresholds: Thresholds,
@@ -85,6 +78,7 @@ class TwoValuedState(PushState):
         ]
         self.stuck = [self._stuck_at(i) for i in range(len(self.components))]
         self.targets: list[int] = []
+        self.sources: list[tuple[str, int]] = []
 
     def _stuck_at(self, i: int) -> bool:
         return _stuck(self.components[i].kind, [self.classes[v] for v in self.hot[i]])
@@ -145,7 +139,9 @@ def label_levels(state: TwoValuedState) -> None:
     every machine reachable by a movable from the previous round's machines,
     plus the tight node of any clear tree that round touched.  Unlabeled
     means unreachable.  Earlier rounds reach nothing new, since all they
-    reach was labeled in the round after them.
+    reach was labeled in the round after them.  Every machine below the
+    top level is a push source, ``(machine, mask of the level above)`` by
+    (level, id).
     """
     ctx = state.ctx
     frontier = sorted(
@@ -159,6 +155,7 @@ def label_levels(state: TwoValuedState) -> None:
     )
     levels = dict.fromkeys(frontier, 0)
     targets = [ctx.instance.mask(frontier)]
+    sources: list[tuple[str, int]] = []
     level = 0
     while True:
         level += 1
@@ -176,11 +173,14 @@ def label_levels(state: TwoValuedState) -> None:
             for v in state.hot[i]
             if v not in levels and v not in reachable
         ]
+        below = frontier
         frontier = sorted(reachable, key=ctx.index) + sorted(pulled, key=ctx.index)
         for v in frontier:
             levels[v] = level
-        targets.append(ctx.instance.mask(frontier))
-    state.levels, state.targets = levels, targets
+        up = ctx.instance.mask(frontier)
+        targets.append(up)
+        sources += [(u, up) for u in sorted(below)]
+    state.levels, state.targets, state.sources = levels, targets, sources
     state.potential = potential_value(ctx, state.at, levels)
 
 
@@ -199,30 +199,18 @@ def _target_accepts(state: TwoValuedState, v: str) -> bool:
     return not _stuck(state.components[i].kind, hot)
 
 
-def _sources(state: TwoValuedState, below: int) -> list[tuple[str, int]]:
-    """``(source, mask of the level above)`` for every machine labeled
-    below *below*, by (level, id)."""
-    targets = state.targets
-    return [
-        (u, targets[lvl + 1])
-        for lvl, u in sorted((lvl, u) for u, lvl in state.levels.items() if lvl < below)
-    ]
-
-
 def find_push(state: TwoValuedState) -> PushMove | None:
     """The least ``(level, source, movable, target)`` push: the first
     movable, by (level, source, id), with an accepting target one level up,
     and its least such target."""
-    top = len(state.targets) - 1
-    return first_push(state, _sources(state, top), partial(_target_accepts, state))
+    return first_push(state, state.sources, partial(_target_accepts, state))
 
 
 def apply_push(
     state: TwoValuedState, move: PushMove, trace: list | None = None
 ) -> None:
-    """Relocate the movable and relabel; levels may only rise and the
-    potential must strictly drop, else the state is corrupted.  The push
-    event goes to *trace*.
+    """Check that *move*, made outside the push loop, is still the push
+    ``find_push`` would pick from its level, then make it.
 
     Only a push from the least level that has one keeps the levels
     monotone, so a push from a higher level is rejected as stale before
@@ -236,8 +224,8 @@ def apply_push(
         or not _target_accepts(state, move.target)
     ):
         raise StaleMoveError(f"push {move} no longer satisfies its conditions")
-    accepts = partial(_target_accepts, state)
-    if first_push(state, _sources(state, level), accepts) is not None:
+    lower = [(u, up) for u, up in state.sources if state.levels[u] < level]
+    if first_push(state, lower, partial(_target_accepts, state)) is not None:
         raise StaleMoveError(f"push {move} is not from the least level with a push")
     push(state, move, label_levels, trace)
 
@@ -252,38 +240,9 @@ def _orient_and_assign(state: TwoValuedState) -> dict[str, str]:
         tight = [v for v in comp.nodes if state.classes[v] >= NodeClass.TIGHT]
         return tight[0] if tight else min(comp.nodes, key=ctx.index)
 
-    heads = orient_components(ctx.graph, root_of)
-    incoming = dict.fromkeys(ctx.machine_ids, 0)
-    final = {v: state.total(v) for v in ctx.machine_ids}
-    for e in ctx.graph.edges:
-        head = heads[e.id]
-        incoming[head] += 1
-        final[head] += e.weight
-    bound = state.thresholds.makespan_bound
-    for v in ctx.machine_ids:
-        if incoming[v] > 1 or final[v] > bound:
-            raise InvariantViolation(
-                f"machine {v} ended with {incoming[v]} edge jobs and load {final[v]}"
-            )
-    return {**state.placement, **heads}
-
-
-def _declaration(state: TwoValuedState) -> Declaration:
-    ctx = state.ctx
-    payload = {
-        **ctx.mode_payload(),
-        "variant": state.thresholds.variant,
-        "activated": sorted(state.levels, key=ctx.index),
-        "levels": dict(sorted(state.levels.items())),
-        "placement": dict(sorted(state.placement.items())),
-        "pl": dict(state.loads),
-        "dedicated": dict(ctx.dedicated),
-        "components": [
-            {"nodes": list(comp.nodes), "kind": comp.kind, "stuck": stuck}
-            for comp, stuck in zip(state.components, state.stuck)
-        ],
-    }
-    return Declaration(ctx.t, ACTIVATED_SET, payload)
+    assignment = {**state.placement, **orient_components(ctx.graph, root_of)}
+    ctx.check_loads(assignment, state.thresholds.overfull_floor)
+    return assignment
 
 
 def run_two_valued(
@@ -314,6 +273,13 @@ def run_two_valued(
     while any(state.stuck):
         move = find_push(state)
         if move is None:
-            return _declaration(state), state.pushes
-        apply_push(state, move, trace)
+            components = [
+                {"nodes": list(comp.nodes), "kind": comp.kind, "stuck": stuck}
+                for comp, stuck in zip(state.components, state.stuck)
+            ]
+            found = declaration(
+                state, variant=thresholds.variant, components=components
+            )
+            return found, state.pushes
+        push(state, move, label_levels, trace)
     return _orient_and_assign(state), state.pushes

@@ -147,6 +147,62 @@ def test_unknown_flag_is_input_error(instance_file):
     assert err.value.code == 1
 
 
+def exit_code(args):
+    """The exit code, whether ``main`` returns it or argparse exits with it."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command", ("solve", "generate"))
+@pytest.mark.parametrize("beta", ("abc", "0.7", "1/0"))
+def test_unreadable_beta_is_input_error(instance_file, command, beta):
+    if command == "solve":
+        args = ["solve", str(instance_file), "--mode", "general"]
+    else:
+        args = ["generate", "general", "--m", "4", "--n", "8", "--Wmax", "10",
+                "--seed", "1"]
+    assert exit_code(args + ["--beta", beta]) == 1
+
+
+def test_generator_size_out_of_range_is_input_error(capsys):
+    assert exit_code(
+        ["generate", "two-valued", "--m", "1", "--heavy", "3", "--light", "5",
+         "--W", "10", "--w", "3", "--seed", "1"]
+    ) == 1
+    assert "internal error" not in capsys.readouterr().err
+
+
+HALL = {"jobs": ["h0"], "mode": "two_valued"}
+
+
+@pytest.mark.parametrize(
+    "result",
+    (
+        5,
+        "assignment",
+        {"assignment": 5},
+        {"kind": "hall_violation"},
+        {"t": "x", "kind": "hall_violation", "payload": HALL},
+        {"t": 12.9, "kind": "hall_violation", "payload": HALL},
+        {"t": True, "kind": "hall_violation", "payload": HALL},
+        {"t": 12, "kind": "hall_violation", "payload": {**HALL, "jobs": 5}},
+        {"t": 12, "kind": "dedicated_overflow",
+         "payload": {"machine": ["m0"], "mode": "two_valued"}},
+    ),
+    ids=(
+        "number", "string", "assignment-number", "no-t", "t-string", "t-float",
+        "t-bool", "jobs-number", "machine-list",
+    ),
+)
+def test_malformed_result_file_is_input_error(tmp_path, instance_file, result, capsys):
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(result))
+    assert exit_code(["verify", str(instance_file), str(path)]) == 1
+    assert "internal error" not in capsys.readouterr().err
+
+
 def test_declaration_verify_path(tmp_path):
     inst = build(
         [("a", 0), ("b", 0)],

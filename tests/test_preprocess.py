@@ -13,6 +13,7 @@ from graphbalance import (
     Declaration,
     EdgeGraph,
     EdgeJob,
+    InvariantViolation,
     RegimeError,
     SolveMode,
     classify_jobs,
@@ -162,6 +163,36 @@ class TestReduce:
             pairs = [frozenset((e.u, e.v)) for e in ctx.graph.edges]
             assert len(pairs) == len(set(pairs))  # no parallel edges left
             assert all(len(p.eligible) >= 2 for p in ctx.movables)
+
+
+class TestCheckLoads:
+    """The final load check every core makes on its assignment."""
+
+    # loads a 9, b 9, c 1, d 9
+    FITS = {"~p1+p2": "a", "l": "c", "e": "d"}
+
+    def context(self):
+        # p1/p2 fold into a twin movable on {a, b}; e stays an edge job
+        inst = build(
+            [("a", 0), ("b", 1), ("c", 0), ("d", 0)],
+            [("p1", 9, ["a", "b"]), ("p2", 8, ["a", "b"]), ("e", 9, ["c", "d"]),
+             ("l", 1, ["b", "c"])],
+        )
+        ctx = reduce_instance(inst, 10, SolveMode.GENERAL, Fraction(7, 10))
+        assert [tw.movable_id for tw in ctx.twins] == ["~p1+p2"]
+        assert [e.id for e in ctx.graph.edges] == ["e"]
+        assert ctx.dedicated == {"a": 8, "b": 9, "c": 0, "d": 0}
+        return ctx
+
+    def test_passes_at_exactly_the_bound(self):
+        self.context().check_loads(self.FITS, 9)
+
+    @pytest.mark.parametrize("job, machine", (("~p1+p2", "b"), ("e", "c")))
+    def test_one_over_the_bound_names_the_machine(self, job, machine):
+        moved = {**self.FITS, job: machine}
+        message = f"machine {machine} finished at load 10"
+        with pytest.raises(InvariantViolation, match=message):
+            self.context().check_loads(moved, 9)
 
 
 class TestEquivalence:
@@ -390,6 +421,13 @@ class TestMemo:
             reduce_instance(other, trivial_lower_bound(other), SolveMode.TWO_VALUED, None, memo)
 
     def test_cores_leave_memoised_contexts_unchanged(self):
+        def reduced_state(entry):
+            ctx = entry.context
+            if ctx is None:
+                return entry.checkpoints, None
+            return (entry.checkpoints, ctx.dedicated, ctx.movables, vars(ctx.graph),
+                    ctx.reductions, ctx.forced, ctx.twins)
+
         def cores(ctx):
             yield "matching", lambda: run_matching(ctx)
             yield "relief", lambda: run_relief(ctx)
@@ -408,10 +446,7 @@ class TestMemo:
             ]
             entries = {key: entry for key, entry in memo.items() if key != "basis"}
             before = copy.deepcopy(
-                {key: (entry.checkpoints, entry.dedicated, entry.movables,
-                       vars(entry.graph) if entry.graph else None, entry.reductions,
-                       entry.forced, entry.twins)
-                 for key, entry in entries.items()}
+                {key: reduced_state(entry) for key, entry in entries.items()}
             )
             for ctx in contexts:
                 for name, run in cores(ctx):
@@ -422,11 +457,6 @@ class TestMemo:
                     assert isinstance(result, (dict, Declaration))
                     assert type(pushes) is int
                     ran.add(name)
-            after = {
-                key: (entry.checkpoints, entry.dedicated, entry.movables,
-                      vars(entry.graph) if entry.graph else None, entry.reductions,
-                      entry.forced, entry.twins)
-                for key, entry in entries.items()
-            }
+            after = {key: reduced_state(entry) for key, entry in entries.items()}
             assert after == before
         assert ran == {"matching", "relief", "general", "two_valued"}

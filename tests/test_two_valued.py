@@ -182,7 +182,6 @@ class TestClassification:
         assert th.safe_max == Fraction(4)          # 10+3-6-3
         assert th.tight_floor == Fraction(7)
         assert th.overfull_floor == Fraction(13)
-        assert th.makespan_bound == Fraction(13)
 
 
 class TestComponentStatus:
@@ -440,12 +439,12 @@ class TestIntegerThresholds:
                 exact = exact_thresholds(t, heavy, light, variant)
                 assert all(
                     isinstance(b, int)
-                    for b in (th.safe_max, th.tight_floor, th.overfull_floor, th.makespan_bound)
+                    for b in (th.safe_max, th.tight_floor, th.overfull_floor)
                 )
                 state = SimpleNamespace(thresholds=th, total=lambda v: 0)
                 for load in range(3 * t + 1):
                     assert classify_node("v", state, extra=load) == exact_class(load, exact)
-                    assert (load > th.makespan_bound) == (load > exact.overfull_floor)
+                    assert (load > th.overfull_floor) == (load > exact.overfull_floor)
 
 
 def seeded_contexts():
