@@ -9,6 +9,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -49,6 +50,15 @@ _MODES = {
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are input errors, not defects
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _beta(text: str) -> Fraction:
+    try:
+        return parse_fraction(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an exact fraction p/q, got {text!r}"
+        ) from None
 
 
 def _read_instance(path: str):
@@ -190,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=sorted(_MODES), default="auto")
     p.add_argument(
         "--beta",
-        type=parse_fraction,
+        type=_beta,
         help="exact fraction p/q (required with --mode general)",
     )
     p.add_argument("--trace", help="write a JSON-lines event trace here")
@@ -211,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     ge = fam.add_parser("general")
     ge.add_argument("--m", type=int, required=True)
     ge.add_argument("--n", type=int, required=True)
-    ge.add_argument("--beta", type=parse_fraction, required=True)
+    ge.add_argument("--beta", type=_beta, required=True)
     ge.add_argument("--Wmax", type=int, required=True)
     ge.add_argument("--seed", type=int, required=True)
     ge.add_argument("--out")

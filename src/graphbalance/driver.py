@@ -95,7 +95,6 @@ def solve(
     )
 
     lo = oracle.trivial_lower_bound(instance)
-    hi = max(lo, oracle.greedy_makespan(instance))
 
     declarations: list[Declaration] = []
     invocations = 0
@@ -143,7 +142,8 @@ def solve(
     best = attempt(lo)
     t_star = lo
     if best is None:
-        low, high = lo + 1, hi
+        # only the search needs an accepted upper end
+        low, high = lo + 1, max(lo, oracle.greedy_makespan(instance))
         cached: tuple[int, tuple] | None = None
         while low < high:
             mid = (low + high) // 2

@@ -174,6 +174,10 @@ class ExploreResult:
     # (source, mask of the level above) for every machine below the top
     # level, by id
     sources: list[tuple[str, int]] | None = None
+    # the trace events this labeling's explore wrote, when traced
+    events: list[dict] = field(default_factory=list)
+    # each directed edge's index in orientation.log, built when first needed
+    positions: dict[str, int] | None = None
 
 
 def _reach(movables) -> int:
@@ -392,6 +396,7 @@ def find_push_general(
 
 
 def _keeps_labels(
+    ctx: GuessContext,
     state: PushState,
     result: ExploreResult,
     move: PushMove,
@@ -399,30 +404,80 @@ def _keeps_labels(
     reach: dict[str, int],
 ) -> bool:
     """Whether ``explore`` on *state*, just after *move*, would return
-    *result* again, in a context without edges.
+    *result* again.
 
-    Without edges nothing is oriented, absorbed or activated by a rule:
-    ``explore`` is a breadth-first search whose level 0 is the overloaded
-    machines and whose level k+1 is the unlabeled machines some movable on
-    level k may use, and its conflict set is the labeled set.  Moving p from
-    u (level l) to v (level l+1) keeps level 0 if u stays overloaded when
-    l = 0 and v does not become overloaded.  It keeps levels 1 to l, whose
+    Moving p from u (level l) to v (level l+1) changes the loads and the
+    movables of u and v alone.  ``explore`` reads loads in four places, and
+    the labeling is kept when each answers as before at the new loads:
+    - every forced-cascade scan of u or v finds the same violators
+      (``_scans_agree``);
+    - the level-0 overload set: u, if overloaded after the initial cascade,
+      stays so.  Its final in-load is its in-load then, since an overloaded
+      machine's scan forces every neutral edge at it away;
+    - the check that no machine rises above the bound after a fake: v stays
+      within it even with its final in-load.  A push the core makes keeps
+      this, as its target ends within the push ceiling plus beta t;
+    - rule 1, whose test of an edge e at x is the test x's first scan makes
+      of e, at in-load 0 with every edge neutral: the scans cover it.
+    Its reach rounds read the movables, and keep levels 1 to l, whose
     movables stay put, and every level above l+1, since each machine p may
     use is labeled l+1 or lower.  Level l+1 is kept iff the movables left on
     level l still reach every machine of it that p reaches.  *reach* maps
     each machine to the mask of its movables' machines, after the move.
     """
-    level = result.levels[move.source]
-    if level == 0 and state.total(move.source) <= th.overload_bound:
-        return False
-    if state.total(move.target) > th.overload_bound:
-        return False
-    lost = state.movable[move.movable_id].mask & result.targets[level + 1]
+    u, v = move.source, move.target
+    p = state.movable[move.movable_id]
+    level = result.levels[u]
+    lost = p.mask & result.targets[level + 1]
     for w in result.round_activated[level]:
         if not lost:
             break
         lost &= ~reach[w]
-    return not lost
+    if lost:
+        return False
+    bound, in_load = th.overload_bound, result.orientation.in_load
+    total_u, total_v = state.total(u), state.total(v)
+    if total_v + in_load[v] > bound:
+        return False
+    if total_u + in_load[u] <= bound < total_u + p.weight + in_load[u]:
+        return False
+    # each machine's room at in-load 0, at the loads before and after
+    return _scans_agree(
+        ctx, result, u, bound - total_u - p.weight, bound - total_u
+    ) and _scans_agree(ctx, result, v, bound - total_v, bound - total_v + p.weight)
+
+
+def _scans_agree(
+    ctx: GuessContext, result: ExploreResult, x: str, low: int, high: int
+) -> bool:
+    """Whether every forced-cascade scan of x in *result*'s ``explore``
+    finds the same violators when x's room at in-load 0 is *low* as when it
+    is *high*.
+
+    ``explore`` scans x once at in-load 0 and again after every entry of
+    ``orientation.log`` whose head is x, and finds the edges still neutral
+    there that weigh more than x's room, which is its room at in-load 0
+    minus its in-load.  So a scan's answer differs iff one of those edges
+    weighs more than the lower room and at most the higher.
+    """
+    edges = ctx.graph.incident(x)
+    if not edges:
+        return True
+    orient = result.orientation
+    if result.positions is None:
+        result.positions = {e.id: i for i, (e, _) in enumerate(orient.log)}
+    position = result.positions
+    never = len(position)
+    edges = sorted(edges, key=lambda e: position.get(e.id, never))
+    scans = [(0, 0)]  # (in-load, index in edges of the first still neutral)
+    in_load = 0
+    for i, e in enumerate(edges):
+        if orient.head[e.id] == x:
+            in_load += e.weight
+            scans.append((in_load, i + 1))
+    return not any(
+        low < e.weight + in_load <= high for in_load, i in scans for e in edges[i:]
+    )
 
 
 def _complete_orientation(ctx: GuessContext, orient: Orientation):
@@ -452,14 +507,14 @@ def run_general(
 ) -> tuple[dict[str, str] | Declaration, int]:
     """Iterate explore + push; returns the result and the number of pushes.
 
-    In a context without edges, a push that provably leaves the labeling as
-    it was keeps it (see ``_keeps_labels``); every other push restarts
-    ``explore`` from a fresh orientation."""
+    A push that provably leaves the labeling as it was keeps it (see
+    ``_keeps_labels``) and writes its explore's trace events again; every
+    other push restarts ``explore`` from a fresh orientation."""
     if ctx.mode.value != "general":
         raise RegimeError("general core requires a general-mode context")
     th = ThresholdsG.make(ctx.t, ctx.beta)
     state = PushState(ctx)
-    reach: dict[str, int] | None = None  # built at the first edge-free push
+    reach: dict[str, int] | None = None  # built at the first push
 
     def relabel(
         state: PushState,
@@ -467,20 +522,25 @@ def run_general(
         before: ExploreResult | None = None,
     ) -> ExploreResult:
         nonlocal reach
-        if move is not None and not ctx.graph.edges:
+        if move is not None:
             if reach is None:
                 reach = {v: _reach(at) for v, at in state.at.items()}
             else:
                 reach[move.source] = _reach(state.at[move.source])
                 reach[move.target] |= state.movable[move.movable_id].mask
-            if _keeps_labels(state, before, move, th, reach):
+            if _keeps_labels(ctx, state, before, move, th, reach):
                 state.potential -= 1  # p rose one level, nothing else moved
+                if trace is not None:
+                    trace.extend(
+                        {**event, "iteration": state.pushes + 1} for event in before.events
+                    )
                 return before
         mark = len(trace) if trace is not None else 0
         result = explore(ctx, state, th, trace=trace)
         if trace is not None:
             for event in trace[mark:]:
                 event.setdefault("iteration", state.pushes + 1)
+            result.events = trace[mark:]
         state.levels = result.levels
         state.potential = potential_value(ctx, state.at, result.levels)
         return result

@@ -155,15 +155,24 @@ def exit_code(args):
         return exc.code
 
 
+def beta_args(instance_file, command):
+    if command == "solve":
+        return ["solve", str(instance_file), "--mode", "general"]
+    return ["generate", "general", "--m", "4", "--n", "8", "--Wmax", "10", "--seed", "1"]
+
+
 @pytest.mark.parametrize("command", ("solve", "generate"))
 @pytest.mark.parametrize("beta", ("abc", "0.7", "1/0"))
 def test_unreadable_beta_is_input_error(instance_file, command, beta):
-    if command == "solve":
-        args = ["solve", str(instance_file), "--mode", "general"]
-    else:
-        args = ["generate", "general", "--m", "4", "--n", "8", "--Wmax", "10",
-                "--seed", "1"]
-    assert exit_code(args + ["--beta", beta]) == 1
+    assert exit_code(beta_args(instance_file, command) + ["--beta", beta]) == 1
+
+
+@pytest.mark.parametrize("command", ("solve", "generate"))
+def test_unreadable_beta_message_asks_for_a_fraction(instance_file, command, capsys):
+    assert exit_code(beta_args(instance_file, command) + ["--beta", "abc"]) == 1
+    err = capsys.readouterr().err
+    assert "argument --beta: expected an exact fraction p/q, got 'abc'" in err
+    assert "parse_fraction" not in err
 
 
 def test_generator_size_out_of_range_is_input_error(capsys):

@@ -20,7 +20,7 @@ from graphbalance import (
     verify_solution,
 )
 
-from graphbalance import driver
+from graphbalance import driver, oracle
 
 from conftest import build, loaded_general, loaded_two_valued
 
@@ -150,6 +150,37 @@ class TestSearchBookkeeping:
             {"t": 13, "stage": "reduce", "op": "declare", "kind": "dedicated_overflow"},
             {"t": 13, "stage": "search", "outcome": "declared"},
         ]
+
+    def test_greedy_upper_end_only_when_the_search_runs(self, monkeypatch):
+        """A solve accepted at its first guess never computes the greedy
+        upper end, and one that searches computes it once; outputs are
+        those of an unpatched solve."""
+        cases = [(loaded_general(seed, Fraction(7, 10)), SolveMode.GENERAL) for seed in range(20)]
+        cases += [(loaded_two_valued(seed)[0], SolveMode.AUTO) for seed in range(20)]
+        beta = {SolveMode.GENERAL: Fraction(7, 10), SolveMode.AUTO: None}
+        expected = [solve(inst, mode, beta[mode]) for inst, mode in cases]
+        real = oracle.greedy_makespan
+        calls = []
+
+        def counted(instance):
+            calls.append(instance)
+            return real(instance)
+
+        def refused(instance):
+            raise AssertionError("the greedy upper end was computed")
+
+        searched = 0
+        for (inst, mode), want in zip(cases, expected):
+            calls.clear()
+            monkeypatch.setattr(
+                oracle, "greedy_makespan", counted if want.declarations else refused
+            )
+            got = solve(inst, mode, beta[mode])
+            assert got.to_json() == want.to_json()
+            assert got.declarations == want.declarations
+            assert calls == ([inst] if want.declarations else [])
+            searched += bool(want.declarations)
+        assert 5 <= searched <= len(cases) - 5
 
     def test_makespan_within_bound_times_t_star(self):
         for seed in range(40):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -475,30 +476,112 @@ def kept_label_contexts():
                 yield ctx
 
 
-class TestKeptLabels:
-    """Without edges, ``run_general`` keeps its labeling across a push that
-    leaves it unchanged; after every push the kept or restarted labeling
-    equals a fresh ``explore`` and the push search equals the rescanning
-    one.  The kept-labels test is exact: a restart always changes levels."""
+def edge_label_contexts():
+    """Two overloaded neighbours, the contexts of ``seeded_contexts()`` with
+    edges, then generated edge-rich ones (n = 1.5m or 2m, and n = 4m at
+    m = 30) at guesses around their least feasible t."""
+    # a and b overload on their own, and the edge between them is forced
+    # into b: b's pushes to c take its own load to the bound while the
+    # edge keeps it overloaded
+    jobs = [("e", 96, ["a", "b"])]
+    jobs += [(f"p{i}", 10, ["a", "d"]) for i in range(10)]
+    jobs += [(f"q{i}", 10, ["b", "c"]) for i in range(10)]
+    yield general_ctx([("a", 100), ("b", 100), ("c", 0), ("d", 0)], jobs, t=100)
+    for ctx, beta, _ in seeded_contexts():
+        if ctx.graph.edges:
+            yield ctx
+    for seed in range(40):
+        m = (12, 20, 30, 40)[seed % 4]
+        n = 4 * m if seed % 4 == 2 else m * (3 + seed % 2) // 2
+        beta = BETAS[seed % 4]
+        inst = generate_general(m, n, beta, 100, seed)
+        t_star = solve(inst, SolveMode.GENERAL, beta).t_star
+        for t in (t_star - 4, t_star, t_star + 4):
+            if t < inst.max_weight():
+                continue
+            ctx = reduce_instance(inst, t, SolveMode.GENERAL, beta)
+            if not isinstance(ctx, Declaration) and ctx.graph.edges:
+                yield ctx
 
-    def test_kept_or_restarted_labeling_matches_a_fresh_explore(self, monkeypatch):
-        tally = dict.fromkeys(("kept", "left_level_0", "only_support"), 0)
+
+def keep_refusals(ctx, state, move, before):
+    """Every reason a fresh ``explore`` just after *move* might differ from
+    *before*, read from its log and a rerun initial cascade: p's support on
+    level l+1 is lost, the target ends overloaded, the source leaves the
+    overload set after the initial cascade, or a forced-cascade scan of
+    either machine finds other violators at its new load."""
+    th = ThresholdsG.make(ctx.t, ctx.beta)
+    bound = th.overload_bound
+    u, v = move.source, move.target
+    p = state.movable[move.movable_id]
+    new = {u: state.total(u), v: state.total(v)}
+    old = {u: new[u] + p.weight, v: new[v] - p.weight}
+    log = before.orientation.log
+    reasons = []
+
+    level = before.levels[u]
+    left = set()
+    for x, lvl in before.levels.items():
+        if lvl == level:
+            for q in state.at[x]:
+                left |= q.eligible
+    if any(before.levels.get(w) == level + 1 and w not in left for w in p.eligible):
+        reasons.append("support")
+
+    def in_load(x, end):
+        return sum(e.weight for e, h in log[:end] if h == x)
+
+    if new[v] + in_load(v, len(log)) > bound:
+        reasons.append("target overloaded")
+    initial = Orientation(ctx.graph)
+    old_loads = {**state.loads, u: state.loads[u] + p.weight, v: state.loads[v] - p.weight}
+    forced_orientations(ctx, initial, old_loads, th, ctx.graph.nodes)
+    if (old[u] + initial.in_load[u] > bound) != (new[u] + initial.in_load[u] > bound):
+        reasons.append("left level 0")
+    for x, name in ((u, "source scan"), (v, "target scan")):
+        # x is scanned at in-load 0 and after each log entry with head x
+        for end in [0] + [i + 1 for i, (_, h) in enumerate(log) if h == x]:
+            directed = {e.id for e, _ in log[:end]}
+            neutral = [e for e in ctx.graph.incident(x) if e.id not in directed]
+            room = bound - in_load(x, end)
+            if {e.id for e in neutral if old[x] + e.weight > room} != {
+                e.id for e in neutral if new[x] + e.weight > room
+            }:
+                reasons.append(name)
+                break
+    return reasons
+
+
+class TestKeptLabels:
+    """``run_general`` keeps its labeling across a push exactly when no
+    reason of ``keep_refusals`` holds; after every push the kept or
+    restarted labeling equals a fresh ``explore`` in every field a later
+    push or keep test reads, and the push search equals the rescanning
+    one."""
+
+    def check_every_push(self, monkeypatch, contexts, restarted=None):
+        """Run the core on *contexts*, checking each push, and count the
+        kept pushes and each refusal reason; *restarted*, if given, is called
+        with the old levels and the fresh labeling of each restart."""
+        tally = Counter()
         real_push, real_find = general.push, general.find_push_general
 
-        for ctx in list(kept_label_contexts()):  # solve() runs unpatched
+        for ctx in list(contexts):  # solve() runs unpatched
             th = ThresholdsG.make(ctx.t, ctx.beta)
             exact = exact_thresholds(ctx.t, ctx.beta)
+            searched = []  # the labeling each push search ran on
 
             def find(ctx_, state, result, th_):
                 move = real_find(ctx_, state, result, th_)
                 assert move == rescanning_find_push(ctx, state.placement, result, exact)
+                searched.append(result)
                 return move
 
             def checked_push(state, move, relabel, trace=None):
                 before = state.levels
-                level = before[move.source]
                 mark = len(trace)
                 result = real_push(state, move, relabel, trace)
+                reasons = keep_refusals(ctx, state, move, searched[-1])
                 fresh_trace = []
                 fresh = explore(ctx, state, th, trace=fresh_trace)
                 assert result.levels == fresh.levels
@@ -506,21 +589,19 @@ class TestKeptLabels:
                 assert result.round_activated == fresh.round_activated
                 assert result.round_conflict == fresh.round_conflict
                 assert result.conflict == fresh.conflict
+                assert result.targets == fresh.targets
                 assert result.orientation.head == fresh.orientation.head
+                assert result.orientation.log == fresh.orientation.log
+                assert result.orientation.in_load == fresh.orientation.in_load
                 assert trace[mark + 1:] == [
-                    {**event, "iteration": state.pushes} for event in fresh_trace
+                    {**event, "iteration": state.pushes + 1} for event in fresh_trace
                 ]
                 assert state.potential == potential_value(ctx, state.at, state.levels)
-                if state.levels is before:
-                    tally["kept"] += 1
-                    return result
-                # a restart changes the labeling, and names one of the reasons
-                assert fresh.levels != before
-                assert state.total(move.target) <= th.overload_bound
-                if level == 0 and state.total(move.source) <= th.overload_bound:
-                    tally["left_level_0"] += 1
-                else:
-                    tally["only_support"] += 1
+                kept = state.levels is before
+                assert kept == (not reasons), reasons
+                tally.update(reasons or ["kept"])
+                if not kept and restarted is not None:
+                    restarted(before, fresh)
                 return result
 
             monkeypatch.setattr(general, "push", checked_push)
@@ -528,27 +609,24 @@ class TestKeptLabels:
             trace = []
             _, pushes = run_general(ctx, trace)
             assert_push_events(trace, pushes)
+        return tally
+
+    def test_kept_or_restarted_labeling_matches_a_fresh_explore(self, monkeypatch):
+        def restarted(before, fresh):
+            # without edges the keep test is exact: a restart changes levels
+            assert fresh.levels != before
+
+        tally = self.check_every_push(monkeypatch, kept_label_contexts(), restarted)
         assert tally["kept"] >= 1500
-        assert tally["left_level_0"] >= 100 and tally["only_support"] >= 50
+        assert tally["left level 0"] >= 100 and tally["support"] >= 50
 
-    def test_contexts_with_edges_always_restart(self, monkeypatch):
-        """With edges, every push gets a fresh labeling."""
-        real_push = general.push
-        pushes = 0
-
-        def restarting_push(state, move, relabel, trace=None):
-            nonlocal pushes
-            before = state.levels
-            result = real_push(state, move, relabel, trace)
-            assert state.levels is not before
-            pushes += 1
-            return result
-
-        monkeypatch.setattr(general, "push", restarting_push)
-        for ctx, _, _ in seeded_contexts():
-            if ctx.graph.edges:
-                run_general(ctx)
-        assert pushes >= 50
+    def test_contexts_with_edges_keep_or_restart_like_a_fresh_explore(
+        self, monkeypatch
+    ):
+        tally = self.check_every_push(monkeypatch, edge_label_contexts())
+        assert tally["kept"] >= 500
+        for reason in ("support", "left level 0", "source scan", "target scan"):
+            assert tally[reason] >= 40
 
 
 class TestPushState:

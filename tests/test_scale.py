@@ -90,3 +90,10 @@ def test_unit_chain_of_ten_thousand_machines():
 )
 def test_general_at_scale(m, beta):
     check_at_scale(generate_general(m, 4 * m, beta, 100, 1), SolveMode.GENERAL, beta)
+
+
+def test_general_with_edges_at_scale():
+    # n = 2m leaves 124 to 255 edge jobs per guess, so the orientation,
+    # conflict and kept-labeling machinery all run at m = 500
+    beta = Fraction(7, 10)
+    check_at_scale(generate_general(500, 1000, beta, 100, 1), SolveMode.GENERAL, beta)
