@@ -122,6 +122,8 @@ def _cmd_verify(args) -> int:
             isinstance(v, str) for v in assignment.values()
         ):
             raise ParseError("'assignment' must map job ids to machine ids")
+        if "makespan" in doc and type(doc["makespan"]) is not int:
+            raise ParseError("'makespan' must be an integer")
         valid, makespan = oracle.verify_solution(instance, assignment)
         if not valid:
             print("invalid: assignment does not cover the jobs legally")

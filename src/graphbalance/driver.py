@@ -115,7 +115,9 @@ def solve(
                 trace.append({"t": t, "stage": "search", "outcome": "declared"})
             return None
         if trace is not None:
-            trace.extend({"t": t, "stage": "reduce", **ev} for ev in reduced.reductions)
+            trace.extend(
+                {"t": t, "stage": "reduce", **ev} for ev in reduced.reduction_events()
+            )
         result, made = _dispatch(reduced, sub)
         pushes += made
         if trace is not None and sub:

@@ -61,7 +61,6 @@ class Orientation:
         self.graph = graph
         self.head: dict[str, str | None] = {e.id: None for e in graph.edges}
         self.in_load: dict[str, int] = {v: 0 for v in graph.nodes}
-        self.in_degree: dict[str, int] = {v: 0 for v in graph.nodes}
         self.log: list[tuple[EdgeJob, str]] = []
 
     def direct(self, edge: EdgeJob, head: str) -> None:
@@ -69,7 +68,6 @@ class Orientation:
             raise InvariantViolation(f"edge {edge.id} cannot be directed to {head}")
         self.head[edge.id] = head
         self.in_load[head] += edge.weight
-        self.in_degree[head] += 1
         self.log.append((edge, head))
 
     def neutral(self, edge: EdgeJob) -> bool:
@@ -488,14 +486,10 @@ def _complete_orientation(ctx: GuessContext, orient: Orientation):
     neutral = EdgeGraph(
         ctx.graph.nodes, tuple(e for e in ctx.graph.edges if orient.neutral(e))
     )
-
-    def root_of(piece) -> str:
-        with_incoming = [x for x in piece.nodes if orient.in_degree[x] > 0]
-        return min(with_incoming or piece.nodes, key=ctx.index)
-
     edges = {e.id: e for e in neutral.edges}
     extra_in = {v: 0 for v in ctx.machine_ids}
-    for eid, head in orient_components(neutral, root_of).items():
+    heads = orient_components(neutral, lambda x: orient.in_load[x] > 0)
+    for eid, head in heads.items():
         orient.direct(edges[eid], head)
         extra_in[head] += 1
     if any(count > 1 for count in extra_in.values()):

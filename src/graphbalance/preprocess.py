@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import (
     InvariantViolation,
@@ -149,47 +150,35 @@ class EdgeGraph:
             elif k > n:
                 kind = "multi_cycle"
             else:
-                degrees = {v: 0 for v in nodes}
-                for e in edges:
-                    degrees[e.u] += 1
-                    degrees[e.v] += 1
-                kind = "cycle" if all(d == 2 for d in degrees.values()) else "one_cycle"
+                cyclic = all(len(self._adjacency[v]) == 2 for v in nodes)
+                kind = "cycle" if cyclic else "one_cycle"
             out.append(Component(tuple(nodes), tuple(edges), kind))
         return out
 
 
 def _prune_to_core(graph: EdgeGraph, comp: Component):
-    """Strip pendant trees of a one-cycle component, leaf by leaf.
+    """Strip the pendant trees of a cycle or one-cycle component,
+    least-index leaf first.
 
     Returns ``(core_nodes, core_edges, folds)`` where each fold is
     ``(edge, head)`` with the head on the side away from the cycle.
     """
-    degree = {v: 0 for v in comp.nodes}
-    alive = {e.id: e for e in comp.edges}
-    for e in comp.edges:
-        degree[e.u] += 1
-        degree[e.v] += 1
-    incident: dict[str, list[EdgeJob]] = {v: [] for v in comp.nodes}
-    for e in comp.edges:
-        incident[e.u].append(e)
-        incident[e.v].append(e)
+    degree = {v: len(graph.incident(v)) for v in comp.nodes}
+    leaves = [(graph.order(v), v) for v in comp.nodes if degree[v] == 1]
+    heapify(leaves)
+    stripped: set[str] = set()
     folds: list[tuple[EdgeJob, str]] = []
-    while True:
-        leaves = sorted(
-            (v for v in comp.nodes if degree[v] == 1), key=graph.order
-        )
-        if not leaves:
-            break
-        leaf = leaves[0]
-        edge = next(e for e in incident[leaf] if e.id in alive)
+    while leaves:
+        _, leaf = heappop(leaves)
+        edge = next(e for e in graph.incident(leaf) if e.id not in stripped)
+        stripped.add(edge.id)
         folds.append((edge, leaf))
-        del alive[edge.id]
-        incident[leaf].remove(edge)
-        incident[edge.other(leaf)].remove(edge)
-        degree[leaf] -= 1
-        degree[edge.other(leaf)] -= 1
+        inner = edge.other(leaf)
+        degree[inner] -= 1
+        if degree[inner] == 1:
+            heappush(leaves, (graph.order(inner), inner))
     core_nodes = tuple(v for v in comp.nodes if degree[v] >= 2)
-    core_edges = tuple(sorted(alive.values(), key=lambda e: e.id))
+    core_edges = tuple(e for e in comp.edges if e.id not in stripped)
     return core_nodes, core_edges, folds
 
 
@@ -216,53 +205,30 @@ def _cycle_sequence(graph: EdgeGraph, nodes, edges):
     return seq
 
 
-def _cycle_min_into(graph: EdgeGraph, nodes, edges, subset) -> int:
-    # every node of a cycle takes exactly one incoming edge, so the only
-    # admissible orientations are the two consistent rotations
-    seq = _cycle_sequence(graph, nodes, edges)
-    forward = sum(e.weight for v, e in seq if e.other(v) in subset)
-    backward = sum(e.weight for v, e in seq if v in subset)
-    return min(forward, backward)
-
-
-def _tree_min_into(nodes, edges, subset) -> int:
-    adjacency: dict[str, list[tuple[EdgeJob, str]]] = {v: [] for v in nodes}
-    for e in edges:
-        adjacency[e.u].append((e, e.v))
-        adjacency[e.v].append((e, e.u))
-    # breadth-first order from nodes[0]: every parent precedes its children
-    parent: dict[str, tuple[str | None, int]] = {nodes[0]: (None, 0)}
-    order = [nodes[0]]
-    for v in order:
-        for e, u in adjacency[v]:
-            if e.id != parent[v][0]:
-                parent[u] = (e.id, e.weight)
-                order.append(u)
-    # (cost with the parent edge pointing into v, cost with it pointing away)
-    state: dict[str, tuple[int, int]] = {}
-    for v in reversed(order):
-        parent_edge, parent_weight = parent[v]
-        child_states = [
-            (e, state[u]) for e, u in adjacency[v] if e.id != parent_edge
-        ]
-        base = sum(into_child for _, (into_child, _) in child_states)
-        with_in = base + (parent_weight if v in subset else 0)
-        without_in = base
-        for e, (into_child, away_from_child) in child_states:
-            alt = base - into_child + away_from_child
-            if v in subset:
-                alt += e.weight
-            without_in = min(without_in, alt)
-        state[v] = (with_in, without_in)
-    return state[nodes[0]][1]
+def _away_from(graph: EdgeGraph, root: str) -> list[tuple[EdgeJob, str]]:
+    """Every edge of *root*'s tree as ``(edge, head)``, pointing away from
+    *root*, each parent's edge before its children's."""
+    walk: list[tuple[EdgeJob, str]] = []
+    seen = {root}
+    frontier = [root]
+    while frontier:
+        x = frontier.pop()
+        for e in graph.incident(x):
+            y = e.other(x)
+            if y not in seen:
+                walk.append((e, y))
+                seen.add(y)
+                frontier.append(y)
+    return walk
 
 
 def min_edge_load_into(graph: EdgeGraph, subset) -> int | None:
     """Minimum total edge-job weight any valid orientation sends into *subset*.
 
-    A valid orientation gives every node at most one incoming edge.  Computed
-    exactly: rooted two-state DP on trees, the two rotations on cycles, and
-    forced pendant folds plus rotations on one-cycle components.  Returns
+    A valid orientation gives every node at most one incoming edge, so a
+    tree points away from one of its nodes, and a cycle, once its pendant
+    trees are forced away from it, takes one of its two rotations.  Each
+    tree root's cost follows from its parent's by turning one edge.  Returns
     ``None`` when some component admits no valid orientation at all.
     """
     subset = set(subset)
@@ -273,42 +239,41 @@ def min_edge_load_into(graph: EdgeGraph, subset) -> int | None:
     for comp in graph.components():
         if comp.kind == "multi_cycle":
             return None
-        if comp.kind == "isolated":
+        if subset.isdisjoint(comp.nodes):
             continue
-        if not subset & set(comp.nodes) and comp.kind == "tree":
-            continue
-        if comp.kind == "tree":
-            total += _tree_min_into(comp.nodes, comp.edges, subset)
-        elif comp.kind == "cycle":
-            total += _cycle_min_into(graph, comp.nodes, comp.edges, subset)
-        else:  # one_cycle: pendant edges are forced outward, core rotates
+        if comp.kind in ("cycle", "one_cycle"):
             core_nodes, core_edges, folds = _prune_to_core(graph, comp)
             total += sum(e.weight for e, head in folds if head in subset)
-            total += _cycle_min_into(graph, core_nodes, core_edges, subset)
+            seq = _cycle_sequence(graph, core_nodes, core_edges)
+            total += min(
+                sum(e.weight for v, e in seq if e.other(v) in subset),
+                sum(e.weight for v, e in seq if v in subset),
+            )
+        else:  # a tree or a lone node: the cost of each root's orientation
+            root = comp.nodes[0]
+            walk = _away_from(graph, root)
+            cost = {root: sum(e.weight for e, head in walk if head in subset)}
+            for e, head in walk:
+                tail = e.other(head)
+                cost[head] = cost[tail] + e.weight * ((tail in subset) - (head in subset))
+            total += min(cost.values())
     return total
 
 
-def orient_components(graph: EdgeGraph, root_of) -> dict[str, str]:
+def orient_components(graph: EdgeGraph, preferred) -> dict[str, str]:
     """Orient every edge so each node takes at most one incoming edge.
 
-    Trees point away from ``root_of(component)``; cycles follow the rotation
-    of :func:`_cycle_sequence`.  Returns the head machine of each edge job.
-    Only isolated, tree and cycle components are admissible.
+    A tree points away from its first node, in graph order, for which
+    ``preferred(node)`` holds, or else from its first node; cycles follow
+    the rotation of :func:`_cycle_sequence`.  Returns the head machine of
+    each edge job.  Only isolated, tree and cycle components are admissible.
     """
     head: dict[str, str] = {}
     for comp in graph.components():
         if comp.kind == "tree":
-            root = root_of(comp)
-            seen = {root}
-            frontier = [root]
-            while frontier:
-                x = frontier.pop()
-                for e in graph.incident(x):
-                    y = e.other(x)
-                    if y not in seen:
-                        head[e.id] = y
-                        seen.add(y)
-                        frontier.append(y)
+            root = next((v for v in comp.nodes if preferred(v)), comp.nodes[0])
+            for e, y in _away_from(graph, root):
+                head[e.id] = y
         elif comp.kind == "cycle":
             for v, e in _cycle_sequence(graph, comp.nodes, comp.edges):
                 head[e.id] = e.other(v)
@@ -353,7 +318,6 @@ class GuessContext:
     dedicated: dict[str, int]
     movables: tuple[MovableJob, ...]
     graph: EdgeGraph
-    reductions: tuple[dict, ...]
     forced: tuple[tuple[str, str], ...]
     twins: tuple[TwinFold, ...] = field(default=())
     # what a core builds once for this reduced state (relief's flow
@@ -424,8 +388,31 @@ class GuessContext:
         jobs += [
             JobSpec(e.id, e.weight, frozenset((e.u, e.v))) for e in self.graph.edges
         ]
-        hint = self.mode if self.mode != SolveMode.AUTO else SolveMode.AUTO
-        return Instance(machines, tuple(jobs), hint)
+        return Instance(machines, tuple(jobs), self.mode)
+
+    def reduction_events(self) -> list[dict]:
+        """The folds that made this context, in the order made: single-machine
+        jobs, edges forced off pendant trees, then parallel pairs."""
+        jobs = {j.id: j for j in self.instance.jobs}
+        events = []
+        for job_id, machine in self.forced:
+            job = jobs[job_id]
+            if len(job.eligible) == 1:
+                op, key = "fold_single", "job"
+            else:
+                op, key = "fold_forced_edge", "edge"
+            events.append({"op": op, key: job_id, "machine": machine, "weight": job.weight})
+        for tw in self.twins:
+            events.append(
+                {
+                    "op": "fold_parallel_pair",
+                    "edges": [tw.heavy_edge, tw.light_edge],
+                    "nodes": [tw.u, tw.v],
+                    "folded_weight": jobs[tw.light_edge].weight,
+                    "movable": tw.movable_id,
+                }
+            )
+        return events
 
     def mode_payload(self) -> dict:
         return _mode_payload(
@@ -513,7 +500,6 @@ class _SolveBasis:
     dedicated: dict[str, int]
     peak: int
     forced: tuple[tuple[str, str], ...]
-    log: tuple[dict, ...]
     mode_fields: dict
 
 
@@ -540,16 +526,12 @@ def _solve_basis(
 ) -> _SolveBasis:
     dedicated = {m.id: m.dedicated_load for m in instance.machines}
     forced: list[tuple[str, str]] = []
-    log: list[dict] = []
     weights: list[int] = []
     for job in instance.jobs:
         if len(job.eligible) == 1:
             (only,) = job.eligible
             dedicated[only] += job.weight
             forced.append((job.id, only))
-            log.append(
-                {"op": "fold_single", "job": job.id, "machine": only, "weight": job.weight}
-            )
         else:
             weights.append(job.weight)
     weights.sort()
@@ -567,7 +549,6 @@ def _solve_basis(
         dedicated=dedicated,
         peak=max(dedicated.values(), default=0),
         forced=tuple(forced),
-        log=tuple(log),
         mode_fields=_mode_payload(mode, beta, heavy_weight, light_weight),
     )
 
@@ -586,7 +567,6 @@ def _reduce_edge_set(basis: _SolveBasis, t: int) -> _EdgeSetReduction:
     order = instance.machine_index.__getitem__
     nodes = tuple(instance.machine_ids)
     dedicated = dict(basis.dedicated)
-    log = list(basis.log)
     forced = list(basis.forced)
     twins: list[TwinFold] = []
     checkpoints: list[tuple[int, dict[str, int]]] = []
@@ -606,14 +586,6 @@ def _reduce_edge_set(basis: _SolveBasis, t: int) -> _EdgeSetReduction:
                 dedicated[head] += edge.weight
                 forced.append((edge.id, head))
                 dropped.add(edge.id)
-                log.append(
-                    {
-                        "op": "fold_forced_edge",
-                        "edge": edge.id,
-                        "machine": head,
-                        "weight": edge.weight,
-                    }
-                )
     if dropped:
         checkpoint()
 
@@ -643,15 +615,6 @@ def _reduce_edge_set(basis: _SolveBasis, t: int) -> _EdgeSetReduction:
             twins.append(TwinFold(pid, first.id, second.id, u, v))
         else:
             twins.append(TwinFold(None, first.id, second.id, u, v))
-        log.append(
-            {
-                "op": "fold_parallel_pair",
-                "edges": [first.id, second.id],
-                "nodes": [u, v],
-                "folded_weight": second.weight,
-                "movable": f"~{first.id}+{second.id}" if diff > 0 else None,
-            }
-        )
         dropped.update((first.id, second.id))
     if doubles:
         checkpoint()
@@ -677,7 +640,6 @@ def _reduce_edge_set(basis: _SolveBasis, t: int) -> _EdgeSetReduction:
         dedicated=dedicated,
         movables=tuple(movables),
         graph=graph,
-        reductions=tuple(log),
         forced=tuple(forced),
         twins=tuple(twins),
     )
@@ -706,13 +668,13 @@ def reduce_instance(
     classify, reject components with two or more cycles, fold pendant trees
     of one-cycle components, and replace parallel edge pairs by a movable of
     the weight difference, checking the dedicated loads after each of these
-    passes.  The log records each step.
+    passes.  ``forced`` and ``twins`` record each fold.
 
     The work depends on t only through the edge set and those checks, so a
     solve passes one *memo* dict to all its guesses: singles are folded
     once, and each edge set is reduced once.  Contexts of one edge set share
-    their dedicated loads, movables, graph and logs; cores must not mutate
-    them.
+    their dedicated loads, movables, graph and fold records; cores must not
+    mutate them.
     """
     if mode == SolveMode.AUTO:
         raise ValueError("reduce requires a resolved mode (two_valued or general)")

@@ -235,12 +235,10 @@ def _orient_and_assign(state: TwoValuedState) -> dict[str, str]:
     job: trees rooted at their tight node (if any), cycles rotated from the
     lowest-index node."""
     ctx = state.ctx
-
-    def root_of(comp: Component) -> str:
-        tight = [v for v in comp.nodes if state.classes[v] >= NodeClass.TIGHT]
-        return tight[0] if tight else min(comp.nodes, key=ctx.index)
-
-    assignment = {**state.placement, **orient_components(ctx.graph, root_of)}
+    heads = orient_components(
+        ctx.graph, lambda v: state.classes[v] >= NodeClass.TIGHT
+    )
+    assignment = {**state.placement, **heads}
     ctx.check_loads(assignment, state.thresholds.overfull_floor)
     return assignment
 

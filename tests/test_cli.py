@@ -212,6 +212,17 @@ def test_malformed_result_file_is_input_error(tmp_path, instance_file, result, c
     assert "internal error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stored", (True, 1.0, "1"), ids=("bool", "float", "string"))
+def test_verify_requires_an_integer_makespan(tmp_path, stored, capsys):
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(serialize_instance(build([("a", 0)], [("x", 1, ["a"])])))
+    result = tmp_path / "sol.json"
+    result.write_text(json.dumps({"assignment": {"x": "a"}, "makespan": stored}))
+    assert exit_code(["verify", str(inst_file), str(result)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "'makespan' must be an integer" in err
+
+
 def test_declaration_verify_path(tmp_path):
     inst = build(
         [("a", 0), ("b", 0)],

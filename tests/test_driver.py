@@ -1,5 +1,6 @@
 """End-to-end solve: guarantees against the oracle, search bookkeeping."""
 
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -150,6 +151,36 @@ class TestSearchBookkeeping:
             {"t": 13, "stage": "reduce", "op": "declare", "kind": "dedicated_overflow"},
             {"t": 13, "stage": "search", "outcome": "declared"},
         ]
+
+    def test_trace_records_every_fold(self):
+        # at t=12 every two-machine job weighs more than floor(0.7 * 12) = 8:
+        # e1-e3 close a cycle with the path c3-p-p2 hanging off it, and two
+        # parallel pairs leave a movable of 3 and none
+        inst = build(
+            [(v, 0) for v in ("a", "c1", "c2", "c3", "p", "p2", "m1", "m2", "n1", "n2")],
+            [
+                ("s", 3, ["a"]),
+                ("e1", 10, ["c1", "c2"]), ("e2", 10, ["c2", "c3"]),
+                ("e3", 10, ["c3", "c1"]), ("e4", 10, ["c3", "p"]),
+                ("e5", 10, ["p", "p2"]),
+                ("q1", 12, ["m1", "m2"]), ("q2", 9, ["m1", "m2"]),
+                ("r1", 9, ["n1", "n2"]), ("r2", 9, ["n1", "n2"]),
+            ],
+        )
+        trace = []
+        sol = solve(inst, SolveMode.GENERAL, Fraction(7, 10), trace=trace)
+        assert (sol.t_star, sol.makespan, sol.declarations) == (12, 12, [])
+        reduce = [event for event in trace if event["stage"] == "reduce"]
+        common = {"t": 12, "stage": "reduce"}
+        assert json.dumps(reduce) == json.dumps([
+            {**common, "op": "fold_single", "job": "s", "machine": "a", "weight": 3},
+            {**common, "op": "fold_forced_edge", "edge": "e5", "machine": "p2", "weight": 10},
+            {**common, "op": "fold_forced_edge", "edge": "e4", "machine": "p", "weight": 10},
+            {**common, "op": "fold_parallel_pair", "edges": ["q1", "q2"],
+             "nodes": ["m1", "m2"], "folded_weight": 9, "movable": "~q1+q2"},
+            {**common, "op": "fold_parallel_pair", "edges": ["r1", "r2"],
+             "nodes": ["n1", "n2"], "folded_weight": 9, "movable": None},
+        ])
 
     def test_greedy_upper_end_only_when_the_search_runs(self, monkeypatch):
         """A solve accepted at its first guess never computes the greedy

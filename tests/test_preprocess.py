@@ -1,4 +1,4 @@
-"""Reductions, the edge graph, and the orientation-minimum DP."""
+"""Reductions, the edge graph, orientation and the orientation minimum."""
 
 import copy
 import hashlib
@@ -28,7 +28,12 @@ from graphbalance import (
 from graphbalance.general import run_general
 from graphbalance.matching import run_matching
 from graphbalance.oracle import greedy_makespan, trivial_lower_bound
-from graphbalance.preprocess import DEDICATED_OVERFLOW, MULTI_CYCLE_COMPONENT
+from graphbalance.preprocess import (
+    DEDICATED_OVERFLOW,
+    MULTI_CYCLE_COMPONENT,
+    _cycle_sequence,
+    orient_components,
+)
 from graphbalance.relief import run_relief
 from graphbalance.two_valued import run_two_valued
 
@@ -307,8 +312,43 @@ class TestMinEdgeLoad:
             u, v = rng.sample(nodes, 2)
             edges.append(EdgeJob(f"e{i}", u, v, rng.randint(1, 9)))
         graph = EdgeGraph(nodes, tuple(edges))
-        subset = set(rng.sample(nodes, rng.randint(1, n)))
+        subset = set(rng.sample(nodes, rng.randint(0, n)))
         assert min_edge_load_into(graph, subset) == enumerate_min_into(graph, subset)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_orient_components_roots_trees_and_rotates_cycles(seed):
+    """A tree points away from its first preferred node in graph order, or
+    its first node; a cycle follows the ``_cycle_sequence`` rotation."""
+    rng = random.Random(seed)
+    nodes = [f"v{i}" for i in range(rng.randint(1, 14))]
+    rng.shuffle(nodes)  # graph order is not name order
+    edges: list[EdgeJob] = []
+    groups, start = [], 0
+    while start < len(nodes):
+        size = rng.randint(1, 6)
+        groups.append(nodes[start:start + size])
+        start += size
+    for group in groups:
+        if len(group) >= 3 and rng.random() < 0.4:
+            pairs = zip(group, group[1:] + group[:1])
+        else:
+            pairs = ((rng.choice(group[:i]), v) for i, v in enumerate(group) if i)
+        for u, v in pairs:
+            edges.append(EdgeJob(f"e{len(edges)}", u, v, rng.randint(1, 9)))
+    graph = EdgeGraph(tuple(nodes), tuple(edges))
+    preferred = set(rng.sample(nodes, rng.randint(0, len(nodes))))
+    head = orient_components(graph, preferred.__contains__)
+    assert sorted(head) == sorted(e.id for e in edges)
+    into = {v: [e for e in edges if head[e.id] == v] for v in nodes}
+    assert all(len(incoming) <= 1 for incoming in into.values())
+    for comp in graph.components():
+        if comp.kind == "cycle":
+            for v, e in _cycle_sequence(graph, comp.nodes, comp.edges):
+                assert head[e.id] == e.other(v)
+        elif comp.kind == "tree":
+            root = next((v for v in comp.nodes if v in preferred), comp.nodes[0])
+            assert [v for v in comp.nodes if not into[v]] == [root]
 
 
 def memo_corpus():
@@ -346,7 +386,7 @@ def reduction_view(reduced):
         reduced.graph.nodes,
         reduced.graph.edges,
         reduced.graph.components(),
-        reduced.reductions,
+        reduced.reduction_events(),
         reduced.forced,
         reduced.twins,
     )
@@ -426,7 +466,7 @@ class TestMemo:
             if ctx is None:
                 return entry.checkpoints, None
             return (entry.checkpoints, ctx.dedicated, ctx.movables, vars(ctx.graph),
-                    ctx.reductions, ctx.forced, ctx.twins)
+                    ctx.reduction_events(), ctx.forced, ctx.twins)
 
         def cores(ctx):
             yield "matching", lambda: run_matching(ctx)

@@ -97,3 +97,22 @@ def test_general_with_edges_at_scale():
     # conflict and kept-labeling machinery all run at m = 500
     beta = Fraction(7, 10)
     check_at_scale(generate_general(500, 1000, beta, 100, 1), SolveMode.GENERAL, beta)
+
+
+def test_general_pendant_path_at_scale():
+    # a 3-cycle of heavy jobs with a 20,000-edge heavy path hanging off it:
+    # reducing folds the whole path leaf by leaf, and one light job every 7
+    # machines is left for the core
+    length, heavy, light, beta = 20_000, 10, 3, Fraction(7, 10)
+    ids = [f"m{i:05d}" for i in range(length + 3)]
+    jobs = [JobSpec(f"c{i}", heavy, frozenset((ids[i], ids[(i + 1) % 3]))) for i in range(3)]
+    jobs += [
+        JobSpec(f"h{i:05d}", heavy, frozenset((ids[i], ids[i + 1])))
+        for i in range(2, length + 2)
+    ]
+    jobs += [
+        JobSpec(f"l{i:05d}", light, frozenset((ids[i], ids[i + 1])))
+        for i in range(0, length + 2, 7)
+    ]
+    inst = Instance(tuple(MachineSpec(v, 0) for v in ids), tuple(jobs))
+    check_at_scale(inst, SolveMode.GENERAL, beta)
