@@ -14,7 +14,6 @@ from .errors import (
     OracleTimeout,
     ParseError,
     RegimeError,
-    StaleMoveError,
     ValidationError,
 )
 from .instance import (
@@ -69,7 +68,6 @@ __all__ = [
     "RegimeError",
     "Solution",
     "SolveMode",
-    "StaleMoveError",
     "ValidationError",
     "ValidationReport",
     "certified_ratio_bound",

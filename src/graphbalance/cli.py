@@ -61,6 +61,13 @@ def _beta(text: str) -> Fraction:
         ) from None
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _read_instance(path: str):
     return parse_instance(Path(path).read_text(encoding="utf-8"))
 
@@ -98,7 +105,7 @@ def _cmd_generate(args) -> int:
                 args.light,
                 args.W,
                 args.w,
-                args.max_light_degree or args.m,
+                args.m if args.max_light_degree is None else args.max_light_degree,
                 args.seed,
             )
         elif args.family == "general":
@@ -245,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="solve a corpus and emit CSV")
     p.add_argument("--dir", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bench)
     return parser

@@ -146,19 +146,15 @@ def solve(
     if best is None:
         # only the search needs an accepted upper end
         low, high = lo + 1, max(lo, oracle.greedy_makespan(instance))
-        cached: tuple[int, tuple] | None = None
         while low < high:
             mid = (low + high) // 2
             outcome = attempt(mid)
             if outcome is not None:
-                high = mid
-                cached = (mid, outcome)
+                high, best = mid, outcome
             else:
                 low = mid + 1
         t_star = low
-        if cached is not None and cached[0] == t_star:
-            best = cached[1]
-        else:
+        if best is None:
             best = attempt(t_star)
             if best is None:
                 raise InvariantViolation(

@@ -33,10 +33,6 @@ class RegimeError(GraphBalanceError):
     """A core was invoked outside the guess range it is specified for."""
 
 
-class StaleMoveError(GraphBalanceError):
-    """A push move no longer matches the state it was computed from."""
-
-
 class OracleBudgetError(GraphBalanceError):
     """Instance exceeds the size budget of the exhaustive oracle."""
 

@@ -392,5 +392,5 @@ def _verify_activated_set(instance, declaration, allow_exhaustive: bool) -> str:
         try:
             return REFUTED if feasible_at(instance, t) else CONFIRMED
         except OracleBudgetError:
-            return NEEDS_EXHAUSTIVE
+            pass
     return NEEDS_EXHAUSTIVE

@@ -24,8 +24,6 @@ from .errors import (
 )
 from .instance import (
     Instance,
-    JobSpec,
-    MachineSpec,
     SolveMode,
     floor_times,
     format_fraction,
@@ -36,14 +34,6 @@ MULTI_CYCLE_COMPONENT = "multi_cycle_component"
 HALL_VIOLATION = "hall_violation"
 ACTIVATED_SET = "activated_set"
 PREFLOW_HEIGHT = "preflow_height"
-
-DECLARATION_KINDS = (
-    DEDICATED_OVERFLOW,
-    MULTI_CYCLE_COMPONENT,
-    HALL_VIOLATION,
-    ACTIVATED_SET,
-    PREFLOW_HEIGHT,
-)
 
 
 @dataclass(frozen=True)
@@ -331,24 +321,18 @@ class GuessContext:
     def index(self, machine: str) -> int:
         return self.instance.machine_index[machine]
 
-    def sorted_eligible(self, movable: MovableJob) -> list[str]:
-        return sorted(movable.eligible, key=self.instance.machine_index.__getitem__)
-
     def job_items(self) -> list[tuple[str, int, list[str]]]:
         """Every remaining multi-machine job as ``(id, weight, eligible)``,
         eligible machines in instance order, sorted by job id."""
-        items = [(p.id, p.weight, self.sorted_eligible(p)) for p in self.movables]
+        items = [(p.id, p.weight, self.instance.sorted_eligible(p)) for p in self.movables]
         for e in self.graph.edges:
             items.append((e.id, e.weight, sorted((e.u, e.v), key=self.index)))
         items.sort(key=lambda item: item[0])
         return items
 
-    def synthetic_ids(self) -> set[str]:
-        return {tw.movable_id for tw in self.twins if tw.movable_id is not None}
-
     def expand(self, core_assignment: dict[str, str]) -> dict[str, str]:
         """Translate a reduced-instance assignment back to the original jobs."""
-        synthetic = self.synthetic_ids()
+        synthetic = {tw.movable_id for tw in self.twins if tw.movable_id is not None}
         full = {
             job: machine
             for job, machine in core_assignment.items()
@@ -378,17 +362,6 @@ class GuessContext:
                 raise InvariantViolation(
                     f"machine {v} finished at load {load} above the bound {bound}"
                 )
-
-    def to_instance(self) -> Instance:
-        """Reduced state as a standalone instance (for equivalence checks)."""
-        machines = tuple(
-            MachineSpec(v, self.dedicated[v]) for v in self.machine_ids
-        )
-        jobs = [JobSpec(p.id, p.weight, p.eligible) for p in self.movables]
-        jobs += [
-            JobSpec(e.id, e.weight, frozenset((e.u, e.v))) for e in self.graph.edges
-        ]
-        return Instance(machines, tuple(jobs), self.mode)
 
     def reduction_events(self) -> list[dict]:
         """The folds that made this context, in the order made: single-machine

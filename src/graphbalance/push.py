@@ -42,7 +42,7 @@ class PushState:
         self.ctx = ctx
         self.movable = {p.id: p for p in ctx.movables}
         if placement is None:
-            placement = {p.id: ctx.sorted_eligible(p)[0] for p in ctx.movables}
+            placement = {p.id: ctx.instance.sorted_eligible(p)[0] for p in ctx.movables}
         self.placement = dict(placement)
         self.loads = dict.fromkeys(ctx.machine_ids, 0)
         self.at: dict[str, list] = {v: [] for v in ctx.machine_ids}

@@ -272,7 +272,7 @@ def _round_flow(ctx: GuessContext, t: int, items, units) -> dict[str, str]:
             if split[j][m] == 0:
                 del split[j][m]
                 drop(j, m)
-        for jid in {j for (j, _), _ in pairs}:
+        for jid in sorted({j for (j, _), _ in pairs}):
             if len(split[jid]) == 1:
                 (v,) = split.pop(jid)
                 assignment[jid] = v

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
 
-from .errors import RegimeError, StaleMoveError
-from .preprocess import Component, Declaration, GuessContext, orient_components
+from .errors import RegimeError
+from .preprocess import Declaration, GuessContext, orient_components
 from .push import PushMove, PushState, declaration, first_push, potential_value, push
 
 
@@ -59,8 +59,7 @@ class TwoValuedState(PushState):
     ``classes`` holds every machine's class, ``hot[i]`` the tight-or-worse
     machines of component ``i`` and ``stuck[i]`` its status.  ``move`` keeps
     them current, so nothing is rebuilt between pushes.  ``levels``, the
-    mask of each level's machines in ``targets``, the push ``sources`` and
-    their ``potential`` are set by ``label_levels``.
+    push ``sources`` and their ``potential`` are set by ``label_levels``.
     """
 
     def __init__(self, ctx: GuessContext, thresholds: Thresholds,
@@ -77,7 +76,6 @@ class TwoValuedState(PushState):
             for comp in self.components
         ]
         self.stuck = [self._stuck_at(i) for i in range(len(self.components))]
-        self.targets: list[int] = []
         self.sources: list[tuple[str, int]] = []
 
     def _stuck_at(self, i: int) -> bool:
@@ -125,13 +123,6 @@ def _stuck(kind: str, hot: list[NodeClass]) -> bool:
     return False
 
 
-def component_is_stuck(comp: Component, classes: dict[str, NodeClass]) -> bool:
-    """Whether *comp* is stuck under the node classes in *classes*."""
-    return _stuck(
-        comp.kind, [c for c in map(classes.__getitem__, comp.nodes) if c >= NodeClass.TIGHT]
-    )
-
-
 def label_levels(state: TwoValuedState) -> None:
     """Label machines with the round at which pushes may reach them.
 
@@ -154,7 +145,6 @@ def label_levels(state: TwoValuedState) -> None:
         key=ctx.index,
     )
     levels = dict.fromkeys(frontier, 0)
-    targets = [ctx.instance.mask(frontier)]
     sources: list[tuple[str, int]] = []
     level = 0
     while True:
@@ -178,9 +168,8 @@ def label_levels(state: TwoValuedState) -> None:
         for v in frontier:
             levels[v] = level
         up = ctx.instance.mask(frontier)
-        targets.append(up)
         sources += [(u, up) for u in sorted(below)]
-    state.levels, state.targets, state.sources = levels, targets, sources
+    state.levels, state.sources = levels, sources
     state.potential = potential_value(ctx, state.at, levels)
 
 
@@ -204,30 +193,6 @@ def find_push(state: TwoValuedState) -> PushMove | None:
     movable, by (level, source, id), with an accepting target one level up,
     and its least such target."""
     return first_push(state, state.sources, partial(_target_accepts, state))
-
-
-def apply_push(
-    state: TwoValuedState, move: PushMove, trace: list | None = None
-) -> None:
-    """Check that *move*, made outside the push loop, is still the push
-    ``find_push`` would pick from its level, then make it.
-
-    Only a push from the least level that has one keeps the levels
-    monotone, so a push from a higher level is rejected as stale before
-    anything changes."""
-    if state.placement.get(move.movable_id) != move.source:
-        raise StaleMoveError(f"{move.movable_id} is no longer at {move.source}")
-    level = state.levels.get(move.source)
-    if (
-        level is None
-        or state.levels.get(move.target) != level + 1
-        or not _target_accepts(state, move.target)
-    ):
-        raise StaleMoveError(f"push {move} no longer satisfies its conditions")
-    lower = [(u, up) for u, up in state.sources if state.levels[u] < level]
-    if first_push(state, lower, partial(_target_accepts, state)) is not None:
-        raise StaleMoveError(f"push {move} is not from the least level with a push")
-    push(state, move, label_levels, trace)
 
 
 def _orient_and_assign(state: TwoValuedState) -> dict[str, str]:

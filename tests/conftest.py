@@ -24,6 +24,15 @@ def build(machines, jobs, hint=SolveMode.AUTO) -> Instance:
     )
 
 
+def reduced_instance(ctx) -> Instance:
+    """A guess context's reduced state as a standalone instance, for
+    equivalence checks against the original."""
+    machines = tuple(MachineSpec(v, ctx.dedicated[v]) for v in ctx.machine_ids)
+    jobs = [JobSpec(p.id, p.weight, p.eligible) for p in ctx.movables]
+    jobs += [JobSpec(e.id, e.weight, frozenset((e.u, e.v))) for e in ctx.graph.edges]
+    return Instance(machines, tuple(jobs), ctx.mode)
+
+
 def assert_push_events(trace: list, pushes: int) -> None:
     """A core's push events count 1, 2, ..., *pushes*, and the potential
     they record (the one before each push) strictly drops."""

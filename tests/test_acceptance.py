@@ -30,7 +30,7 @@ from graphbalance.general import Orientation, ThresholdsG, explore, forced_orien
 from graphbalance.matching import run_matching
 from graphbalance.push import PushState
 
-from conftest import loaded_general, loaded_two_valued, unit_regime
+from conftest import loaded_general, loaded_two_valued, reduced_instance, unit_regime
 from test_preprocess import enumerate_min_into
 
 BETAS = (Fraction(4, 7), Fraction(2, 3), Fraction(7, 10), Fraction(9, 10))
@@ -213,7 +213,7 @@ def test_criterion_06_fake_orientation_order_independence():
         if isinstance(ctx, Declaration):
             continue
         states += 1
-        placement = {p.id: ctx.sorted_eligible(p)[0] for p in ctx.movables}
+        placement = {p.id: ctx.instance.sorted_eligible(p)[0] for p in ctx.movables}
         th = ThresholdsG.make(t, beta)
 
         def picker(rand):
@@ -286,7 +286,7 @@ def test_criterion_08_preprocessing_equivalence():
             if isinstance(reduced, Declaration):
                 assert not original
             else:
-                assert feasible_at(reduced.to_instance(), t) == original
+                assert feasible_at(reduced_instance(reduced), t) == original
     assert pairs >= 300
 
     dp_checks = 0

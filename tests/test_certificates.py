@@ -178,6 +178,29 @@ def test_broken_closure_is_refuted():
     assert verify_certificate(inst, decl, allow_exhaustive=False) == REFUTED
 
 
+GENERAL_7_10 = {"mode": "general", "beta": "7/10"}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("hall_violation", {"jobs": ["e"], **GENERAL_7_10}),
+        ("preflow_height", {"cut": ["a", "b"], "captive_jobs": ["e"], **GENERAL_7_10}),
+    ],
+    ids=["hall", "preflow"],
+)
+def test_witness_counted_twice_is_refuted(kind, payload):
+    # OPT is 10, so no claim at t = 10 may hold; the witness job e is
+    # already inside the floor of a and b and must not be added again
+    inst = build(
+        [("a", 0), ("b", 0)],
+        [("e", 10, ["a", "b"]), ("f", 10, ["a", "b"])],
+    )
+    assert feasible_at(inst, 10)
+    assert verify_certificate(inst, Declaration(10, kind, payload)) == REFUTED
+
+
 def test_weak_aggregate_falls_back_to_exhaustive():
     # structurally consistent payload whose summed bound is too weak:
     # 16 + 0 + 0 <= 2*10, yet the guess is genuinely infeasible, so the

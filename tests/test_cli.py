@@ -183,6 +183,18 @@ def test_generator_size_out_of_range_is_input_error(capsys):
     assert "internal error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("degree", ("0", "1"))
+def test_max_light_degree_below_two_is_input_error(tmp_path, degree, capsys):
+    out = tmp_path / "inst.json"
+    assert exit_code(
+        ["generate", "two-valued", "--m", "4", "--heavy", "3", "--light", "5",
+         "--W", "10", "--w", "3", "--max-light-degree", degree, "--seed", "1",
+         "--out", str(out)]
+    ) == 1
+    assert "max_light_degree must lie in [2, m]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 HALL = {"jobs": ["h0"], "mode": "two_valued"}
 
 
@@ -292,6 +304,13 @@ class TestBench:
             assert run(["bench", "--dir", str(corpus), "--jobs", jobs]) == 1
             messages.append(capsys.readouterr().err)
         assert messages[0] == messages[1] and messages[0].startswith("error: ")
+
+    @pytest.mark.parametrize("jobs", ("0", "-3"))
+    def test_fewer_than_one_job_is_input_error(self, corpus, jobs, capsys):
+        assert exit_code(["bench", "--dir", str(corpus), "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        assert "argument --jobs: expected a positive integer" in captured.err
+        assert captured.out == ""
 
     def test_empty_corpus_is_input_error(self, tmp_path):
         empty = tmp_path / "empty"

@@ -99,7 +99,7 @@ def rescanning_find_push(ctx, placement, result, th):
     best = None
     for u, lvl in result.levels.items():
         for p in at[u]:
-            for v in ctx.sorted_eligible(p):
+            for v in ctx.instance.sorted_eligible(p):
                 if v == u or result.levels.get(v) != lvl + 1:
                     continue
                 if ctx.dedicated[v] + ml[v] + orient.in_load[v] > th.push_bound:
@@ -347,7 +347,7 @@ class TestAgainstRescanningReference:
         contexts = cascades = 0
         for ctx, beta, rng in seeded_contexts():
             contexts += 1
-            placement = {p.id: rng.choice(ctx.sorted_eligible(p)) for p in ctx.movables}
+            placement = {p.id: rng.choice(ctx.instance.sorted_eligible(p)) for p in ctx.movables}
             ml = PushState(ctx, placement).loads
             fast, slow = Orientation(ctx.graph), Orientation(ctx.graph)
             for e in ctx.graph.edges:
@@ -370,7 +370,7 @@ class TestAgainstRescanningReference:
         contexts = pushes = 0
         for ctx, beta, rng in seeded_contexts():
             contexts += 1
-            placement = {p.id: rng.choice(ctx.sorted_eligible(p)) for p in ctx.movables}
+            placement = {p.id: rng.choice(ctx.instance.sorted_eligible(p)) for p in ctx.movables}
             state = PushState(ctx, placement)
             result = explore(
                 ctx,
@@ -401,7 +401,7 @@ class TestAgainstRescanningReference:
         contexts = rounds = fakes = 0
         for ctx, beta, rng in seeded_contexts():
             contexts += 1
-            placement = {p.id: rng.choice(ctx.sorted_eligible(p)) for p in ctx.movables}
+            placement = {p.id: rng.choice(ctx.instance.sorted_eligible(p)) for p in ctx.movables}
             state = PushState(ctx, placement)
             th = ThresholdsG.make(ctx.t, beta)
             for step in range(11):
@@ -436,7 +436,7 @@ class TestAgainstRescanningReference:
         matches seeding it with every node."""
         steps = cascades = 0
         for ctx, beta, rng in seeded_contexts():
-            placement = {p.id: rng.choice(ctx.sorted_eligible(p)) for p in ctx.movables}
+            placement = {p.id: rng.choice(ctx.instance.sorted_eligible(p)) for p in ctx.movables}
             ml = PushState(ctx, placement).loads
             th = ThresholdsG.make(ctx.t, beta)
             fast, slow = Orientation(ctx.graph), Orientation(ctx.graph)
@@ -637,12 +637,12 @@ class TestPushState:
         for ctx, _, rng in seeded_contexts():
             if not ctx.movables:
                 continue
-            placement = {p.id: rng.choice(ctx.sorted_eligible(p)) for p in ctx.movables}
+            placement = {p.id: rng.choice(ctx.instance.sorted_eligible(p)) for p in ctx.movables}
             state = PushState(ctx, placement)
             for count in range(1, 11):
                 p = rng.choice(ctx.movables)
                 source = state.placement[p.id]
-                assert state.move(p.id, rng.choice(ctx.sorted_eligible(p))) == source
+                assert state.move(p.id, rng.choice(ctx.instance.sorted_eligible(p))) == source
                 fresh = PushState(ctx, state.placement)
                 assert state.loads == fresh.loads
                 assert state.at == fresh.at
@@ -751,7 +751,7 @@ class TestOrderIndependence:
         if isinstance(ctx, Declaration):
             return
         placement = {
-            p.id: rng.choice(ctx.sorted_eligible(p)) for p in ctx.movables
+            p.id: rng.choice(ctx.instance.sorted_eligible(p)) for p in ctx.movables
         }
         th = ThresholdsG.make(t, BETA)
 

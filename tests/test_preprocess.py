@@ -37,7 +37,7 @@ from graphbalance.preprocess import (
 from graphbalance.relief import run_relief
 from graphbalance.two_valued import run_two_valued
 
-from conftest import build, loaded_general, loaded_two_valued
+from conftest import build, loaded_general, loaded_two_valued, reduced_instance
 
 
 def enumerate_min_into(graph: EdgeGraph, subset) -> int | None:
@@ -149,7 +149,9 @@ class TestReduce:
         ctx = reduce_instance(inst, t, SolveMode.GENERAL, Fraction(7, 10))
         if isinstance(ctx, Declaration):
             return
-        again = reduce_instance(ctx.to_instance(), t, SolveMode.GENERAL, Fraction(7, 10))
+        again = reduce_instance(
+            reduced_instance(ctx), t, SolveMode.GENERAL, Fraction(7, 10)
+        )
         assert not isinstance(again, Declaration)
         assert again.dedicated == ctx.dedicated
         assert {p.id for p in again.movables} == {p.id for p in ctx.movables}
@@ -214,7 +216,7 @@ class TestEquivalence:
             if isinstance(reduced, Declaration):
                 assert not original
             else:
-                assert feasible_at(reduced.to_instance(), t) == original
+                assert feasible_at(reduced_instance(reduced), t) == original
 
     @pytest.mark.parametrize("seed", range(120))
     def test_two_valued_mode(self, seed):
@@ -226,7 +228,7 @@ class TestEquivalence:
             if isinstance(reduced, Declaration):
                 assert not original
             else:
-                assert feasible_at(reduced.to_instance(), t) == original
+                assert feasible_at(reduced_instance(reduced), t) == original
 
     @pytest.mark.parametrize("seed", range(40))
     def test_expand_covers_all_jobs(self, seed):
@@ -237,7 +239,7 @@ class TestEquivalence:
         assert not isinstance(ctx, Declaration)
         core = {}
         for p in ctx.movables:
-            core[p.id] = ctx.sorted_eligible(p)[0]
+            core[p.id] = ctx.instance.sorted_eligible(p)[0]
         for e in ctx.graph.edges:
             core[e.id] = e.u
         full = ctx.expand(core)

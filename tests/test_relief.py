@@ -1,7 +1,12 @@
 """Relief core: target bound, certificates, and long augmenting paths."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import MethodType
 
 import pytest
@@ -191,3 +196,28 @@ def test_resumed_path_search_matches_restarts_from_the_source():
             infeasible += not result[0]
     assert feasible >= 600 and infeasible >= 500
     assert sum(count >= 2 for count in phases) >= 1500
+
+
+ASSIGNMENT_ORDER = """
+import json
+from graphbalance import generate_two_valued, solve
+solution = solve(generate_two_valued(40, 44, 40, 1000, 620, 3, 2))
+print(json.dumps(list(solution.assignment)))
+"""
+
+
+def test_assignment_order_does_not_depend_on_the_hash_seed():
+    # relief's rounding splits jobs on a cycle; it must settle them in a
+    # fixed order, not in the iteration order of a set of ids
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    orders = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        ran = subprocess.run(
+            [sys.executable, "-c", ASSIGNMENT_ORDER],
+            env=env, capture_output=True, text=True,
+        )
+        assert ran.returncode == 0, ran.stderr
+        orders.append(json.loads(ran.stdout))
+    assert orders[0] == orders[1]

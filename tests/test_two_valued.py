@@ -1,6 +1,5 @@
 """Two-weight core: classification, labeling, pushes, and full runs."""
 
-import copy
 import hashlib
 import json
 import random
@@ -13,7 +12,6 @@ import pytest
 from graphbalance import (
     Declaration,
     SolveMode,
-    StaleMoveError,
     feasible_at,
     generate_two_valued,
     reduce_instance,
@@ -21,14 +19,12 @@ from graphbalance import (
     validate,
     verify_solution,
 )
-from graphbalance.push import PushMove, PushState, potential_value
+from graphbalance.push import PushMove, PushState, potential_value, push
 from graphbalance.two_valued import (
     NodeClass,
     Thresholds,
     TwoValuedState,
-    apply_push,
     classify_node,
-    component_is_stuck,
     label_levels,
     find_push,
     run_two_valued,
@@ -137,7 +133,7 @@ def rescanning_pushes(state, levels, th):
         (lvl, u, p.id, v)
         for u, lvl in levels.items()
         for p in at[u]
-        for v in state.ctx.sorted_eligible(p)
+        for v in state.ctx.instance.sorted_eligible(p)
         if v != u and levels.get(v) == lvl + 1 and rescanning_accepts(state, th, v)
     )
 
@@ -192,9 +188,9 @@ class TestComponentStatus:
             t=10,
             placement={f"l{i}": "a" for i in range(3)},
         )
-        comp = state.components[state.comp_index["a"]]
-        assert comp.kind == "isolated"
-        assert component_is_stuck(comp, state.classes)
+        i = state.comp_index["a"]
+        assert state.components[i].kind == "isolated"
+        assert state.stuck[i]
 
     def test_tree_with_one_tight_is_clear(self):
         state = make_state(
@@ -203,10 +199,10 @@ class TestComponentStatus:
             t=10,
             placement={"l0": "a"},
         )
-        comp = state.components[state.comp_index["a"]]
-        assert comp.kind == "tree"
+        i = state.comp_index["a"]
+        assert state.components[i].kind == "tree"
         assert classify_node("a", state) == NodeClass.TIGHT
-        assert not component_is_stuck(comp, state.classes)
+        assert not state.stuck[i]
 
     def test_cycle_with_one_tight_is_stuck(self):
         state = make_state(
@@ -220,10 +216,10 @@ class TestComponentStatus:
             t=10,
             placement={"l0": "a"},
         )
-        comp = state.components[state.comp_index["a"]]
-        assert comp.kind == "cycle"
+        i = state.comp_index["a"]
+        assert state.components[i].kind == "cycle"
         assert classify_node("a", state) == NodeClass.TIGHT
-        assert component_is_stuck(comp, state.classes)
+        assert state.stuck[i]
 
 
 def overfull_isolated_state():
@@ -337,24 +333,16 @@ class TestPush:
         move = find_push(state)
         assert move.source == "a"
 
-    def test_apply_push_drops_potential_and_keeps_levels(self):
+    def test_push_drops_potential_and_keeps_levels(self):
         state = overfull_isolated_state()
         label_levels(state)
         before_levels = dict(state.levels)
         before_potential = potential_value(state.ctx, state.at, state.levels)
-        apply_push(state, find_push(state))
+        push(state, find_push(state), label_levels)
         after_potential = potential_value(state.ctx, state.at, state.levels)
         assert after_potential < before_potential
         for v, lvl in before_levels.items():
             assert state.levels.get(v, 10 ** 9) >= lvl
-
-    def test_stale_move_rejected(self):
-        state = overfull_isolated_state()
-        label_levels(state)
-        move = find_push(state)
-        apply_push(state, move)
-        with pytest.raises(StaleMoveError):
-            apply_push(state, move)
 
 
 class TestRunCore:
@@ -498,7 +486,7 @@ class TestAgainstRescanningReference:
             contexts += 1
             factory = Thresholds.standard if variant == "standard" else Thresholds.improved
             heavy, light = ctx.heavy_weight, ctx.light_weight
-            placement = {p.id: rng.choice(ctx.sorted_eligible(p)) for p in ctx.movables}
+            placement = {p.id: rng.choice(ctx.instance.sorted_eligible(p)) for p in ctx.movables}
             state = TwoValuedState(ctx, factory(ctx.t, heavy, light), placement)
             exact = exact_thresholds(ctx.t, heavy, light, variant)
             label_levels(state)
@@ -508,9 +496,8 @@ class TestAgainstRescanningReference:
                 assert state.loads == reference.loads
                 assert state.at == reference.at
                 assert state.classes == fresh == rescanning_classes(state, exact)
-                assert state.stuck == [
-                    component_is_stuck(comp, fresh) for comp in state.components
-                ]
+                rebuilt = TwoValuedState(ctx, state.thresholds, state.placement)
+                assert state.stuck == rebuilt.stuck
                 assert state.levels == rescanning_label_levels(state, exact)
                 assert state.potential == potential_value(
                     ctx, reference.at, state.levels
@@ -525,44 +512,9 @@ class TestAgainstRescanningReference:
                 _, u, pid, v = rng.choice(
                     [c for c in candidates if c[0] == candidates[0][0]]
                 )
-                apply_push(state, PushMove(pid, u, v))
+                push(state, PushMove(pid, u, v), label_levels)
                 pushes += 1
         assert contexts >= 250 and pushes >= 300
-
-
-def observable_state(state):
-    return copy.deepcopy(
-        (state.placement, state.loads, state.at, state.classes, state.hot,
-         state.stuck, state.levels, state.potential, state.pushes)
-    )
-
-
-def test_push_above_the_least_level_is_stale():
-    """A valid push from a level above the least one that has a push would
-    let some level drop; it is refused before the state changes."""
-    refused = 0
-    for ctx, variant, rng in seeded_contexts():
-        factory = Thresholds.standard if variant == "standard" else Thresholds.improved
-        heavy, light = ctx.heavy_weight, ctx.light_weight
-        placement = {p.id: rng.choice(ctx.sorted_eligible(p)) for p in ctx.movables}
-        state = TwoValuedState(ctx, factory(ctx.t, heavy, light), placement)
-        exact = exact_thresholds(ctx.t, heavy, light, variant)
-        label_levels(state)
-        for _ in range(25):
-            candidates = rescanning_pushes(state, state.levels, exact)
-            if not candidates:
-                break
-            higher = [c for c in candidates if c[0] > candidates[0][0]]
-            if higher:
-                _, u, pid, v = rng.choice(higher)
-                before = observable_state(state)
-                with pytest.raises(StaleMoveError):
-                    apply_push(state, PushMove(pid, u, v))
-                assert observable_state(state) == before
-                refused += 1
-            _, u, pid, v = candidates[0]
-            apply_push(state, PushMove(pid, u, v))
-    assert refused >= 50
 
 
 # sha256 over solve(...).to_json() of golden_corpus(), as computed by the
