@@ -34,7 +34,6 @@ from .instance import (
 )
 from .oracle import (
     exact_opt,
-    exhaustive_opt,
     feasible_at,
     verify_certificate,
     verify_solution,
@@ -74,7 +73,6 @@ __all__ = [
     "classify_jobs",
     "derive_beta",
     "exact_opt",
-    "exhaustive_opt",
     "feasible_at",
     "format_fraction",
     "generate_adversarial_path",

@@ -3,8 +3,8 @@
 When any two remaining job weights sum to more than t, an assignment of
 makespan <= t is exactly a perfect matching of jobs to machines that fit
 them.  Augmenting-path matching decides this; if some job stays unmatched,
-the jobs reachable along alternating paths form a neighborhood-deficient set,
-which is the infeasibility witness.
+the machines its failed search visited, with their holders and that job, form
+a neighborhood-deficient set, which is the infeasibility witness.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ def run_matching(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, int]:
     matched_job: dict[str, str] = {}
     matched_machine: dict[str, str] = {}
 
-    def augment(root: str) -> bool:
+    def augment(root: str) -> set[str] | None:
         """Depth-first alternating-path search from *root* on an explicit
         stack, trying each job's fitting machines in order and each machine
-        at most once, as the recursive search would."""
+        at most once, as the recursive search would.  Returns None once
+        *root* is matched, else the machines the search visited."""
         seen: set[str] = set()
         stack = [(root, iter(fits[root]))]
         chosen: list[str] = []  # chosen[i]: the machine stack[i] is trying
@@ -60,36 +61,21 @@ def run_matching(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, int]:
             for (jid, _), machine in zip(reversed(stack), reversed(chosen)):
                 matched_job[jid] = machine
                 matched_machine[machine] = jid
-            return True
-        return False
+            return None
+        return seen
 
-    unmatched = None
     for jid, _, _ in items:
-        if not augment(jid):
-            unmatched = jid
+        neighborhood = augment(jid)
+        if neighborhood is not None:
             break
-
-    if unmatched is None:
+    else:
         ctx.check_loads(matched_job, t)
         return dict(matched_job), 0
 
-    # Alternating BFS from the unmatched job: every reachable machine is
-    # matched, so the reachable jobs outnumber their joint neighborhood.
-    witness_jobs = {unmatched}
-    neighborhood: set[str] = set()
-    frontier = [unmatched]
-    while frontier:
-        jid = frontier.pop()
-        for v in fits[jid]:
-            if v in neighborhood:
-                continue
-            neighborhood.add(v)
-            holder = matched_machine.get(v)
-            if holder is None:
-                raise InvariantViolation("free machine reachable: matching not maximal")
-            if holder not in witness_jobs:
-                witness_jobs.add(holder)
-                frontier.append(holder)
+    # The failed search visited every machine an alternating path from the
+    # unmatched job reaches, each of them matched (König), so those machines'
+    # holders and the job outnumber them.
+    witness_jobs = {jid, *(matched_machine[v] for v in neighborhood)}
     if len(neighborhood) >= len(witness_jobs):
         raise InvariantViolation("witness jobs do not outnumber their neighborhood")
     payload = {

@@ -9,7 +9,6 @@ capped: at most :data:`JOB_BUDGET` multi-machine jobs and
 
 from __future__ import annotations
 
-import itertools
 import time
 from fractions import Fraction
 
@@ -116,26 +115,6 @@ def exact_opt(instance: Instance) -> int:
         else:
             lo = mid + 1
     return lo
-
-
-def exhaustive_opt(instance: Instance) -> int:
-    """Reference optimum by unpruned enumeration of every assignment.
-
-    Only for very small instances; used to cross-check ``exact_opt``.
-    """
-    loads, multi = _folded(instance)
-    if len(multi) > 8:
-        raise OracleBudgetError("exhaustive enumeration is capped at 8 jobs")
-    eligibles = [instance.sorted_eligible(job) for job in multi]
-    best = None
-    for combo in itertools.product(*eligibles) if multi else [()]:
-        trial = dict(loads)
-        for job, v in zip(multi, combo):
-            trial[v] += job.weight
-        span = max(trial.values(), default=0)
-        if best is None or span < best:
-            best = span
-    return best if best is not None else max(loads.values(), default=0)
 
 
 def verify_solution(instance: Instance, assignment: dict[str, str]):

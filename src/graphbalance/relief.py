@@ -37,7 +37,7 @@ def run_relief(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, int]:
         }
         return Declaration(t, PREFLOW_HEIGHT, payload), 0
 
-    assignment = _round_flow(ctx, t, items, result)
+    assignment = _round_flow(ctx, items, result)
     ctx.check_loads(assignment, t + max(w for _, w, _ in items) - 1)
     return assignment, 0
 
@@ -51,6 +51,9 @@ class _Dinic:
     def __init__(self, n: int):
         self.n = n
         self.adj: list[list[list[int]]] = [[] for _ in range(n)]  # [to, cap, rev]
+        # the last breadth-first labels: after max_flow, the nodes with a
+        # level >= 0 are the source side of a minimum cut
+        self.level = [-1] * n
 
     def add(self, u: int, v: int, cap: int) -> list[int]:
         arc = [v, cap, len(self.adj[v])]
@@ -61,7 +64,7 @@ class _Dinic:
     def max_flow(self, s: int, tt: int) -> int:
         flow = 0
         while True:
-            level = [-1] * self.n
+            self.level = level = [-1] * self.n
             level[s] = 0
             queue = [s]
             for u in queue:
@@ -114,17 +117,6 @@ class _Dinic:
                     it[nodes[-1]] += 1
         return flow
 
-    def reachable(self, s: int) -> set[int]:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v, cap_arc, _ in self.adj[u]:
-                if cap_arc > 0 and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
 
 class _FlowNetwork:
     """Fractional feasibility of one reduced state by integral max-flow.
@@ -148,10 +140,12 @@ class _FlowNetwork:
         self.machine_node = {v: 1 + len(self.job_ids) + i for i, v in enumerate(machines)}
         self.net = net = _Dinic(n)
         self.unconstrained = self.total + 1
+        self.job_arcs = []  # (job, machine, arc), in items and eligibility order
         for jid, w, elig in items:
             net.add(self.source, self.job_node[jid], w)
             for v in elig:
-                net.add(self.job_node[jid], self.machine_node[v], self.unconstrained)
+                arc = net.add(self.job_node[jid], self.machine_node[v], self.unconstrained)
+                self.job_arcs.append((jid, v, arc))
         self.sink_arcs = [
             (v, net.add(self.machine_node[v], self.sink, 0)) for v in machines
         ]
@@ -167,8 +161,8 @@ class _FlowNetwork:
     def check(self, ctx: GuessContext, t: int):
         """Returns ``(True, units)`` with ``units[(job, machine)]`` the
         integral flow split, or ``(False, (cut_machines, captive_jobs))``
-        where the residual cut gives machines whose captive jobs provably
-        overfill them."""
+        where the cut that Dinic's last breadth-first search labels gives
+        machines whose captive jobs provably overfill them."""
         net = self.net
         for arc, cap in self.capacities:
             arc[1] = cap
@@ -176,28 +170,22 @@ class _FlowNetwork:
             arc[1] = max(t - ctx.dedicated[v], 0)
         value = net.max_flow(self.source, self.sink)
         if value < self.total:
-            reach = net.reachable(self.source)
+            level = net.level
             cut_machines = sorted(
-                (v for v in self.machines if self.machine_node[v] in reach),
+                (v for v in self.machines if level[self.machine_node[v]] >= 0),
                 key=ctx.index,
             )
-            captive = sorted(
-                jid for jid in self.job_ids if self.job_node[jid] in reach
-            )
+            captive = sorted(jid for jid in self.job_ids if level[self.job_node[jid]] >= 0)
             return False, (cut_machines, captive)
-        node_to_machine = {node: mid for mid, node in self.machine_node.items()}
         units: dict[tuple[str, str], int] = {}
-        for jid in self.job_ids:
-            for v, cap_arc, _ in net.adj[self.job_node[jid]]:
-                mid = node_to_machine.get(v)
-                if mid is not None:
-                    sent = self.unconstrained - cap_arc
-                    if sent > 0:
-                        units[(jid, mid)] = sent
+        for jid, v, arc in self.job_arcs:
+            sent = self.unconstrained - arc[1]
+            if sent > 0:
+                units[(jid, v)] = sent
         return True, units
 
 
-def _round_flow(ctx: GuessContext, t: int, items, units) -> dict[str, str]:
+def _round_flow(ctx: GuessContext, items, units) -> dict[str, str]:
     """Round an integral fractional split into a whole assignment.
 
     Cancels cycles in the bipartite support graph (loads unchanged), then in
@@ -205,7 +193,6 @@ def _round_flow(ctx: GuessContext, t: int, items, units) -> dict[str, str]:
     holds at least one unit of it.  That machine gains at most weight-1 beyond
     its fractional load.
     """
-    weight = {jid: w for jid, w, _ in items}
     split: dict[str, dict[str, int]] = {}
     assignment: dict[str, str] = {}
     for (jid, v), amount in units.items():

@@ -7,12 +7,13 @@ the reduction paths get real traffic.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from graphbalance import Instance, JobSpec, MachineSpec, SolveMode
+from graphbalance import Instance, JobSpec, MachineSpec, SolveMode, verify_certificate
 
 
 def build(machines, jobs, hint=SolveMode.AUTO) -> Instance:
@@ -31,6 +32,14 @@ def reduced_instance(ctx) -> Instance:
     jobs = [JobSpec(p.id, p.weight, p.eligible) for p in ctx.movables]
     jobs += [JobSpec(e.id, e.weight, frozenset((e.u, e.v))) for e in ctx.graph.edges]
     return Instance(machines, tuple(jobs), ctx.mode)
+
+
+def hash_declarations(digest, instance, solution) -> None:
+    """Feed every declaration of *solution* into *digest*, each with the
+    verdict the oracle gives it without exhaustive search."""
+    for declaration in solution.declarations:
+        verdict = verify_certificate(instance, declaration, allow_exhaustive=False)
+        digest.update(json.dumps([declaration.to_json(), verdict], sort_keys=True).encode())
 
 
 def assert_push_events(trace: list, pushes: int) -> None:

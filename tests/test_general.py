@@ -33,7 +33,7 @@ from graphbalance.general import (
 from graphbalance import general
 from graphbalance.push import PushMove, PushState, potential_value
 
-from conftest import assert_push_events, build, loaded_general
+from conftest import assert_push_events, build, hash_declarations, loaded_general
 
 BETA = Fraction(7, 10)
 BETAS = (Fraction(4, 7), Fraction(2, 3), Fraction(7, 10), Fraction(9, 10))
@@ -654,6 +654,9 @@ class TestPushState:
 # sha256 over solve(...).to_json() of golden_corpus(), as computed by the
 # whole-graph rescanning core on exact rational bounds
 GOLDEN_SHA256 = "9fe5a1d20533dc00e90172863288ae786a4c824a1b216112806b932e06c97b52"
+# sha256 over hash_declarations(...) of the same solves, as computed by the
+# matching core's second alternating search and relief's residual search
+GOLDEN_DECLARATIONS_SHA256 = "526fa09b6c6792089ef6fc06b3de64666c3635f6af9adbda40022f78a42157e6"
 
 
 def golden_corpus():
@@ -666,11 +669,13 @@ def golden_corpus():
 
 
 def test_golden_general_corpus():
-    digest = hashlib.sha256()
+    digest, declared = hashlib.sha256(), hashlib.sha256()
     for inst, beta in golden_corpus():
         solution = solve(inst, SolveMode.GENERAL, beta)
         digest.update(json.dumps(solution.to_json(), sort_keys=True).encode())
+        hash_declarations(declared, inst, solution)
     assert digest.hexdigest() == GOLDEN_SHA256
+    assert declared.hexdigest() == GOLDEN_DECLARATIONS_SHA256
 
 
 def test_long_adversarial_path_solves_at_the_closed_form():

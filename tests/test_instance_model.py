@@ -1,6 +1,8 @@
 """Data model, JSON round-trips, validation and the deterministic generators."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,10 +23,18 @@ from graphbalance import (
 
 from conftest import build
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 MINIMAL = '{"machines":[{"id":"m1"}],"jobs":[{"id":"j1","weight":5,"eligible":["m1"]}]}'
 
 
 class TestParsing:
+    def test_readme_instance_examples_parse(self):
+        text = README.read_text(encoding="utf-8")
+        blocks = re.findall(r"```json\n(.*?)```", text, re.DOTALL)
+        assert blocks
+        for block in blocks:
+            parse_instance(block)
+
     def test_minimal_document(self):
         inst = parse_instance(MINIMAL)
         assert len(inst.machines) == 1 and len(inst.jobs) == 1

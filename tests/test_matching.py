@@ -4,6 +4,7 @@ import pytest
 
 from graphbalance import (
     Declaration,
+    InvariantViolation,
     RegimeError,
     SolveMode,
     feasible_at,
@@ -12,8 +13,94 @@ from graphbalance import (
     verify_solution,
 )
 from graphbalance.matching import run_matching
+from graphbalance.preprocess import HALL_VIOLATION
 
 from conftest import build, unit_regime
+
+
+def bfs_run_matching(ctx):
+    """Reference matching core: the same augmenting-path search, then a
+    second, breadth-first alternating search from the unmatched job for the
+    deficiency witness."""
+    t = ctx.t
+    items = ctx.job_items()
+    weights = sorted(w for _, w, _ in items)
+    if len(weights) >= 2 and weights[0] + weights[1] <= t:
+        raise RegimeError(
+            "unit-capacity core requires any two job weights to exceed "
+            f"t={t}, but {weights[0]} + {weights[1]} <= t"
+        )
+
+    fits: dict[str, list[str]] = {
+        jid: [v for v in eligible if ctx.dedicated[v] + w <= t]
+        for jid, w, eligible in items
+    }
+    matched_job: dict[str, str] = {}
+    matched_machine: dict[str, str] = {}
+
+    def augment(root: str) -> bool:
+        """Depth-first alternating-path search from *root* on an explicit
+        stack, trying each job's fitting machines in order and each machine
+        at most once, as the recursive search would."""
+        seen: set[str] = set()
+        stack = [(root, iter(fits[root]))]
+        chosen: list[str] = []  # chosen[i]: the machine stack[i] is trying
+        while stack:
+            for v in stack[-1][1]:
+                if v not in seen:
+                    break
+            else:
+                stack.pop()
+                if chosen:
+                    chosen.pop()
+                continue
+            seen.add(v)
+            chosen.append(v)
+            holder = matched_machine.get(v)
+            if holder is not None:
+                stack.append((holder, iter(fits[holder])))
+                continue
+            for (jid, _), machine in zip(reversed(stack), reversed(chosen)):
+                matched_job[jid] = machine
+                matched_machine[machine] = jid
+            return True
+        return False
+
+    unmatched = None
+    for jid, _, _ in items:
+        if not augment(jid):
+            unmatched = jid
+            break
+
+    if unmatched is None:
+        ctx.check_loads(matched_job, t)
+        return dict(matched_job), 0
+
+    # Alternating BFS from the unmatched job: every reachable machine is
+    # matched, so the reachable jobs outnumber their joint neighborhood.
+    witness_jobs = {unmatched}
+    neighborhood: set[str] = set()
+    frontier = [unmatched]
+    while frontier:
+        jid = frontier.pop()
+        for v in fits[jid]:
+            if v in neighborhood:
+                continue
+            neighborhood.add(v)
+            holder = matched_machine.get(v)
+            if holder is None:
+                raise InvariantViolation("free machine reachable: matching not maximal")
+            if holder not in witness_jobs:
+                witness_jobs.add(holder)
+                frontier.append(holder)
+    if len(neighborhood) >= len(witness_jobs):
+        raise InvariantViolation("witness jobs do not outnumber their neighborhood")
+    payload = {
+        "jobs": sorted(witness_jobs),
+        "neighborhood": sorted(neighborhood),
+        **ctx.mode_payload(),
+    }
+    return Declaration(t, HALL_VIOLATION, payload), 0
 
 
 def reduced(machines, jobs, t):
@@ -106,3 +193,19 @@ def test_feasibility_matches_oracle_exactly(seed):
             assert oracle_says
             valid, makespan = verify_solution(instance, reduced_ctx.expand(result))
             assert valid and makespan <= t
+
+
+def test_witness_equals_the_breadth_first_reference():
+    """Reading the witness off the failed augmenting search gives the same
+    assignment or declaration as a second alternating search would."""
+    declared = 0
+    for seed in range(60):
+        instance, heavy, light = unit_regime(seed)
+        for t in range(heavy, 2 * light):
+            ctx = reduce_instance(instance, t, SolveMode.TWO_VALUED)
+            if isinstance(ctx, Declaration):
+                continue
+            result = run_matching(ctx)
+            assert result == bfs_run_matching(ctx)
+            declared += isinstance(result[0], Declaration)
+    assert declared >= 100  # 112 Hall witnesses over these guesses

@@ -3,7 +3,12 @@
 A function, class or module-level name that only tests reach is code the
 solver carries for nothing: a test that needs such a helper keeps it in the
 tests.  A name counts as used when the package loads it by name, reads it as
-an attribute, imports it, or exports it through ``__all__``.
+an attribute, imports it, or exports it through ``__all__`` — except that
+``__init__.py`` does not count: a name it alone imports or exports is one
+only the package's users, tests among them, can reach.
+
+Likewise every parameter and local variable of a function is read by that
+function or by a function nested in it.
 """
 
 import ast
@@ -16,7 +21,11 @@ PACKAGE = Path(graphbalance.__file__).resolve().parent
 # argparse calls ArgumentParser.error itself, so the override has no caller here
 EXEMPT = {"cli._Parser.error"}
 
+# bound names never meant to be read
+UNREAD_OK = {"self", "cls", "_"}
+
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def nested_definitions(node, qualname):
@@ -59,13 +68,66 @@ def references(tree):
                     yield item.value
 
 
-def test_every_defined_name_is_used_in_the_package():
+def own_scope(function):
+    """The nodes of *function*'s own scope: its body without the bodies of
+    the functions and classes nested in it."""
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def bound_names(function):
+    """``(name, line)`` of every parameter of *function* and every local it
+    binds, less the names it declares ``global`` or ``nonlocal``."""
+    args = function.args
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+    bound = [(arg.arg, arg.lineno) for arg in params]
+    outer = set()
+    for node in own_scope(function):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.append((node.id, node.lineno))
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            outer.update(node.names)
+    return [(name, line) for name, line in bound if name not in outer]
+
+
+def unread_names(tree):
+    """``(function, name, line)`` of every parameter or local variable that
+    neither its function nor a function nested in it reads."""
+    for function in ast.walk(tree):
+        if not isinstance(function, _FUNCTIONS):
+            continue
+        read = {
+            node.id
+            for node in ast.walk(function)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for name, line in bound_names(function):
+            if name not in read and name not in UNREAD_OK:
+                yield getattr(function, "name", "<lambda>"), name, line
+
+
+def package_trees():
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"), str(path))
         for path in sorted(PACKAGE.rglob("*.py"))
     }
     assert trees
-    used = {name for tree in trees.values() for name in references(tree)}
+    return trees
+
+
+def test_every_defined_name_is_used_in_the_package():
+    trees = package_trees()
+    used = {
+        name
+        for path, tree in trees.items()
+        if path.name != "__init__.py"
+        for name in references(tree)
+    }
     unused = [
         f"{path.relative_to(PACKAGE)}:{line} {qualname}"
         for path, tree in trees.items()
@@ -75,3 +137,12 @@ def test_every_defined_name_is_used_in_the_package():
         and qualname not in EXEMPT
     ]
     assert unused == []
+
+
+def test_every_parameter_and_local_is_read():
+    unread = [
+        f"{path.relative_to(PACKAGE)}:{line} {function}: {name}"
+        for path, tree in package_trees().items()
+        for function, name, line in unread_names(tree)
+    ]
+    assert unread == []

@@ -4,6 +4,7 @@ Certificate verification is covered in test_certificates.py once real
 declarations exist to feed it.
 """
 
+import itertools
 import random
 
 import pytest
@@ -11,12 +12,32 @@ import pytest
 from graphbalance import (
     OracleBudgetError,
     exact_opt,
-    exhaustive_opt,
     feasible_at,
     verify_solution,
 )
+from graphbalance.oracle import _folded
 
 from conftest import build
+
+
+def exhaustive_opt(instance):
+    """Reference optimum by unpruned enumeration of every assignment.
+
+    Only for very small instances; used to cross-check ``exact_opt``.
+    """
+    loads, multi = _folded(instance)
+    if len(multi) > 8:
+        raise OracleBudgetError("exhaustive enumeration is capped at 8 jobs")
+    eligibles = [instance.sorted_eligible(job) for job in multi]
+    best = None
+    for combo in itertools.product(*eligibles) if multi else [()]:
+        trial = dict(loads)
+        for job, v in zip(multi, combo):
+            trial[v] += job.weight
+        span = max(trial.values(), default=0)
+        if best is None or span < best:
+            best = span
+    return best if best is not None else max(loads.values(), default=0)
 
 
 def test_two_jobs_with_dedicated_load(tiny):

@@ -27,10 +27,11 @@ from conftest import build
 
 def restarting_max_flow(net, s, tt, paths):
     """Reference Dinic: every augmenting path search restarts at the source;
-    appends each phase's augment count to *paths*."""
+    appends each phase's augment count to *paths*.  Leaves its last
+    breadth-first labels in ``net.level``, as the production search does."""
     flow = 0
     while True:
-        level = [-1] * net.n
+        net.level = level = [-1] * net.n
         level[s] = 0
         queue = [s]
         for u in queue:
@@ -75,6 +76,19 @@ def restarting_augment(net, s, tt, level, it):
                 arcs.pop()
                 it[nodes[-1]] += 1
     return 0
+
+
+def residual_reach(net, s):
+    """The nodes a residual path from *s* reaches, by depth-first search."""
+    seen = {s}
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        for v, cap, _ in net.adj[u]:
+            if cap > 0 and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 def reduced(machines, jobs, t, mode=SolveMode.TWO_VALUED):
@@ -168,7 +182,8 @@ def test_random_runs_meet_bound_or_declare_soundly(seed):
 def test_resumed_path_search_matches_restarts_from_the_source():
     """Resuming each augmenting-path search where the last augment
     saturated an arc leaves every residual capacity, flow split and cut
-    equal to restarting each search at the source, guess after guess."""
+    equal to restarting each search at the source, guess after guess; each
+    cut is the set of nodes a residual path from the source reaches."""
     phases = []
     feasible = infeasible = 0
     for seed in range(60):
@@ -192,6 +207,22 @@ def test_resumed_path_search_matches_restarts_from_the_source():
             assert [arc[1] for adj in fast.net.adj for arc in adj] == [
                 arc[1] for adj in slow.net.adj for arc in adj
             ]
+            if result[0]:
+                # the split lists jobs in item order, each in eligibility order
+                units = result[1]
+                assert list(units) == [
+                    (jid, v) for jid, _, elig in ctx.job_items() for v in elig
+                    if (jid, v) in units
+                ]
+            else:
+                reach = residual_reach(fast.net, fast.source)
+                cut_machines, captive = result[1]
+                assert set(cut_machines) == {
+                    v for v, node in fast.machine_node.items() if node in reach
+                }
+                assert set(captive) == {
+                    jid for jid, node in fast.job_node.items() if node in reach
+                }
             feasible += result[0]
             infeasible += not result[0]
     assert feasible >= 600 and infeasible >= 500

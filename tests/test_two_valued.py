@@ -30,7 +30,7 @@ from graphbalance.two_valued import (
     run_two_valued,
 )
 
-from conftest import assert_push_events, build, loaded_two_valued
+from conftest import assert_push_events, build, hash_declarations, loaded_two_valued
 
 
 def exact_thresholds(t, heavy, light, variant):
@@ -520,6 +520,9 @@ class TestAgainstRescanningReference:
 # sha256 over solve(...).to_json() of golden_corpus(), as computed by the
 # rescanning core on exact rational thresholds
 GOLDEN_SHA256 = "886e2c2e3c345cf9f2ad94da1f12550aee99630a43c0d9d19f04156e7b0a1223"
+# sha256 over hash_declarations(...) of the same solves, as computed by the
+# matching core's second alternating search and relief's residual search
+GOLDEN_DECLARATIONS_SHA256 = "b9b0b76c3181fe824b68ba7f3340ea27e1b66c3cb948db181baa422995867d26"
 
 
 def golden_corpus():
@@ -537,8 +540,10 @@ def golden_corpus():
 
 
 def test_golden_two_valued_corpus():
-    digest = hashlib.sha256()
+    digest, declared = hashlib.sha256(), hashlib.sha256()
     for inst in golden_corpus():
         solution = solve(inst, SolveMode.TWO_VALUED)
         digest.update(json.dumps(solution.to_json(), sort_keys=True).encode())
+        hash_declarations(declared, inst, solution)
     assert digest.hexdigest() == GOLDEN_SHA256
+    assert declared.hexdigest() == GOLDEN_DECLARATIONS_SHA256
