@@ -4,7 +4,7 @@ The same flow works from a shell:
 
     graphbalance generate two-valued --m 5 --heavy 3 --light 6 \
         --W 12 --w 5 --seed 0 --out corpus/i0.json
-    graphbalance bench --dir corpus --jobs 4 --out bench.csv
+    graphbalance bench --dir corpus --out bench.csv
 """
 
 import csv
@@ -44,7 +44,7 @@ def run_demo() -> None:
             assert code == 0
 
         report = workdir / "bench.csv"
-        assert main(["bench", "--dir", str(corpus), "--jobs", "4", "--out", str(report)]) == 0
+        assert main(["bench", "--dir", str(corpus), "--out", str(report)]) == 0
 
         rows = list(csv.DictReader(report.read_text().splitlines()))
 
@@ -60,7 +60,5 @@ def run_demo() -> None:
     print("\nresolver work stays at ceil(log2(total weight)) + 2 guesses per instance.")
 
 
-# bench --jobs solves in spawned worker processes, which import this file;
-# only the process started from the command line runs the demo
 if __name__ == "__main__":
     run_demo()

@@ -8,9 +8,7 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from multiprocessing import get_context
 from pathlib import Path
 
 from . import oracle
@@ -59,13 +57,6 @@ def _beta(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(
             f"expected an exact fraction p/q, got {text!r}"
         ) from None
-
-
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
 
 
 def _read_instance(path: str):
@@ -179,13 +170,7 @@ def _cmd_bench(args) -> int:
     paths = sorted(Path(args.dir).glob("*.json"))
     if not paths:
         raise ParseError(f"no *.json instances under {args.dir}")
-    if args.jobs > 1:
-        # solves are pure Python, so only separate processes run them at once
-        workers = min(args.jobs, len(paths))
-        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
-            rows = list(pool.map(_bench_one, paths))
-    else:
-        rows = [_bench_one(p) for p in paths]
+    rows = [_bench_one(p) for p in paths]
     buffer = io.StringIO()
     writer = csv.DictWriter(
         buffer,
@@ -252,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="solve a corpus and emit CSV")
     p.add_argument("--dir", required=True)
-    p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bench)
     return parser

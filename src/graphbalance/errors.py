@@ -25,7 +25,7 @@ class ValidationError(GraphBalanceError):
         super().__init__("; ".join(violations))
         self.violations = list(violations)
 
-    def __reduce__(self):  # rebuilt from the list, e.g. in a bench worker
+    def __reduce__(self):  # rebuilt from the list, not from the joined message
         return type(self), (self.violations,)
 
 

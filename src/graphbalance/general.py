@@ -172,8 +172,8 @@ class ExploreResult:
     # (source, mask of the level above) for every machine below the top
     # level, by id
     sources: list[tuple[str, int]] | None = None
-    # the trace events this labeling's explore wrote, when traced
-    events: list[dict] = field(default_factory=list)
+    # the events this labeling's explore wrote, untagged, when traced
+    events: list[dict] | None = None
     # each directed edge's index in orientation.log, built when first needed
     positions: dict[str, int] | None = None
 
@@ -191,7 +191,7 @@ def explore(
     state: PushState,
     th: ThresholdsG,
     fake_picker=None,
-    trace: list | None = None,
+    traced: bool = False,
 ) -> ExploreResult:
     """Orient, grow the conflict set, and activate machines round by round.
 
@@ -202,7 +202,8 @@ def explore(
     orientations away from it, until neither applies; then the two activation
     rules run to a fixpoint.  The fake-orientation order (pluggable through
     *fake_picker*) does not affect the conflict sets or any edge outside them.
-    Loads and movables are read from *state*.
+    Loads and movables are read from *state*.  When *traced*, the events go
+    to the result's ``events``, without an ``iteration``.
 
     Each round touches only what changed.  The machines a round reaches are
     the OR of the eligibility masks of the movables on the previous round's
@@ -221,12 +222,13 @@ def explore(
     rank, names = ctx.instance.name_rank, ctx.instance.name_order
     orient = Orientation(graph)
     head, in_load = orient.head, orient.in_load
-    forced_orientations(ctx, orient, ml, th, graph.nodes, trace)
+    events: list[dict] | None = [] if traced else None
+    forced_orientations(ctx, orient, ml, th, graph.nodes, events)
     overloaded0 = _overloaded(ctx, orient, ml, th)
 
     levels: dict[str, int] = {}
     conflict: set[str] = set()
-    result = ExploreResult(orient, levels, conflict)
+    result = ExploreResult(orient, levels, conflict, events=events)
     labeled = 0  # the mask of every labeled machine
     # (tail in the conflict set, head, edge id, edge); stale once the edge
     # is directed.  A reduced graph has no parallel edges, so (tail, head)
@@ -259,8 +261,8 @@ def explore(
                 absorbable.clear()
                 for v in wave:
                     join(v, conflict_now)
-                    if trace is not None:
-                        trace.append({"event": "absorb", "machine": v})
+                    if events is not None:
+                        events.append({"event": "absorb", "machine": v})
             while fakes and head[fakes[0][3].id] is not None:
                 heappop(fakes)
             if not fakes:
@@ -273,9 +275,9 @@ def explore(
                 v, u, _, e = fakes[0]
             mark = len(orient.log)
             orient.direct(e, u)
-            if trace is not None:
-                trace.append({"event": "fake", "edge": e.id, "from": v, "to": u})
-            forced_orientations(ctx, orient, ml, th, (u,), trace)
+            if events is not None:
+                events.append({"event": "fake", "edge": e.id, "from": v, "to": u})
+            forced_orientations(ctx, orient, ml, th, (u,), events)
             risen = set()
             for d, h in orient.log[mark:]:
                 if h in conflict and d.other(h) not in conflict:
@@ -307,8 +309,8 @@ def explore(
             for v, event in extra:
                 levels[v] = round_no
                 activated_now.append(v)
-                if trace is not None:
-                    trace.append({"event": event, "machine": v})
+                if events is not None:
+                    events.append({"event": event, "machine": v})
             spread = {
                 e.other(w)
                 for w, _ in extra
@@ -516,27 +518,23 @@ def run_general(
         before: ExploreResult | None = None,
     ) -> ExploreResult:
         nonlocal reach
+        kept = False
         if move is not None:
             if reach is None:
                 reach = {v: _reach(at) for v, at in state.at.items()}
             else:
                 reach[move.source] = _reach(state.at[move.source])
                 reach[move.target] |= state.movable[move.movable_id].mask
-            if _keeps_labels(ctx, state, before, move, th, reach):
-                state.potential -= 1  # p rose one level, nothing else moved
-                if trace is not None:
-                    trace.extend(
-                        {**event, "iteration": state.pushes + 1} for event in before.events
-                    )
-                return before
-        mark = len(trace) if trace is not None else 0
-        result = explore(ctx, state, th, trace=trace)
+            kept = _keeps_labels(ctx, state, before, move, th, reach)
+        if kept:
+            state.potential -= 1  # p rose one level, nothing else moved
+            result = before
+        else:
+            result = explore(ctx, state, th, traced=trace is not None)
+            state.levels = result.levels
+            state.potential = potential_value(ctx, state.at, result.levels)
         if trace is not None:
-            for event in trace[mark:]:
-                event.setdefault("iteration", state.pushes + 1)
-            result.events = trace[mark:]
-        state.levels = result.levels
-        state.potential = potential_value(ctx, state.at, result.levels)
+            trace.extend({**event, "iteration": state.pushes + 1} for event in result.events)
         return result
 
     result = relabel(state)

@@ -168,10 +168,10 @@ def _id_map(payload: dict, key: str, kind: type) -> dict:
 
 
 def _payload_mode(payload: dict):
-    try:
-        mode = SolveMode(payload["mode"])
-    except (KeyError, ValueError) as exc:
-        raise MalformedDeclaration(f"payload lacks a valid 'mode': {exc}") from None
+    # a declaration is made at one guess of a resolved mode, never in auto
+    if payload.get("mode") not in (SolveMode.TWO_VALUED, SolveMode.GENERAL):
+        raise MalformedDeclaration("payload 'mode' must be two_valued or general")
+    mode = SolveMode(payload["mode"])
     beta = None
     if mode == SolveMode.GENERAL:
         try:

@@ -25,6 +25,20 @@ def build(machines, jobs, hint=SolveMode.AUTO) -> Instance:
     )
 
 
+# Two jobs e, f of weight 10 on machines a and b (OPT 10), and a payload at
+# t = 10 for each declaration kind that carries a mode, naming "auto"
+AUTO_MODE_INSTANCE = (
+    [("a", 0), ("b", 0)],
+    [("e", 10, ["a", "b"]), ("f", 10, ["a", "b"])],
+)
+AUTO_MODE_DECLARATIONS = {
+    "hall_violation": {"jobs": ["e"], "mode": "auto"},
+    "dedicated_overflow": {"machine": "a", "mode": "auto"},
+    "preflow_height": {"cut": ["a", "b"], "captive_jobs": ["e"], "mode": "auto"},
+    "activated_set": {"activated": ["a"], "placement": {}, "pl": {}, "mode": "auto"},
+}
+
+
 def reduced_instance(ctx) -> Instance:
     """A guess context's reduced state as a standalone instance, for
     equivalence checks against the original."""

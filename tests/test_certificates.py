@@ -16,7 +16,13 @@ from graphbalance import (
 )
 from graphbalance.oracle import CONFIRMED, NEEDS_EXHAUSTIVE, REFUTED
 
-from conftest import build, loaded_general, loaded_two_valued
+from conftest import (
+    AUTO_MODE_DECLARATIONS,
+    AUTO_MODE_INSTANCE,
+    build,
+    loaded_general,
+    loaded_two_valued,
+)
 
 
 def collect_declarations(instances_with_modes, limit=40):
@@ -104,6 +110,14 @@ def test_malformed_payload_raises():
         verify_certificate(inst, Declaration(5, "dedicated_overflow", {}))
     with pytest.raises(MalformedDeclaration):
         verify_certificate(inst, Declaration(5, "no_such_kind", {}))
+
+
+@pytest.mark.parametrize("kind", sorted(AUTO_MODE_DECLARATIONS))
+def test_unresolved_mode_is_malformed(kind):
+    inst = build(*AUTO_MODE_INSTANCE)
+    declaration = Declaration(10, kind, AUTO_MODE_DECLARATIONS[kind])
+    with pytest.raises(MalformedDeclaration, match="must be two_valued or general"):
+        verify_certificate(inst, declaration)
 
 
 @pytest.mark.parametrize("beta", ("1/10", "1/2", "1", "3/2"))

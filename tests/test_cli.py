@@ -11,7 +11,7 @@ import pytest
 
 from graphbalance.cli import main
 
-from conftest import build
+from conftest import AUTO_MODE_DECLARATIONS, AUTO_MODE_INSTANCE, build
 from graphbalance import serialize_instance
 
 
@@ -255,6 +255,20 @@ def test_declaration_verify_path(tmp_path):
     assert run(["verify", str(inst_file), str(decl_file)]) == 0
 
 
+@pytest.mark.parametrize("kind", sorted(AUTO_MODE_DECLARATIONS))
+def test_declaration_in_auto_mode_is_input_error(tmp_path, kind, capsys):
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(serialize_instance(build(*AUTO_MODE_INSTANCE)))
+    decl_file = tmp_path / "decl.json"
+    decl_file.write_text(
+        json.dumps({"t": 10, "kind": kind, "payload": AUTO_MODE_DECLARATIONS[kind]})
+    )
+    assert run(["verify", str(inst_file), str(decl_file)]) == 1
+    assert capsys.readouterr().err == (
+        "error: payload 'mode' must be two_valued or general\n"
+    )
+
+
 class TestBench:
     @pytest.fixture
     def corpus(self, tmp_path):
@@ -280,36 +294,27 @@ class TestBench:
             "ratio", "cores", "pushes", "ms",
         ]
 
-    def test_parallel_results_identical(self, tmp_path, corpus):
-        serial = tmp_path / "serial.csv"
-        parallel = tmp_path / "parallel.csv"
-        assert run(["bench", "--dir", str(corpus), "--jobs", "1", "--out", str(serial)]) == 0
+    def test_rows_follow_sorted_file_order(self, tmp_path, corpus):
+        # a.json was written last, as i3.json, but it sorts first
+        (corpus / "i3.json").rename(corpus / "a.json")
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--dir", str(corpus), "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [row["instance"] for row in rows] == ["a.json", "i0.json", "i1.json", "i2.json"]
 
-        def strip_ms(path):
-            rows = list(csv.DictReader(path.read_text().splitlines()))
-            return [{k: v for k, v in row.items() if k != "ms"} for row in rows]
-
-        # 2 workers, then more workers asked for than there are instances
-        for jobs in ("2", "8"):
-            assert run(["bench", "--dir", str(corpus), "--jobs", jobs, "--out", str(parallel)]) == 0
-            assert strip_ms(serial) == strip_ms(parallel)
-
-    def test_parallel_input_error_matches_serial(self, tmp_path, corpus, capsys):
-        # a heavy job on three machines fits no mode: the worker's
-        # ValidationError must reach the user as the serial run reports it
+    def test_instance_fitting_no_mode_is_input_error(self, corpus, capsys):
+        # a heavy job on three machines fits no mode
         bad = build([("a", 0), ("b", 0), ("c", 0)], [("j", 5, ["a", "b", "c"]), ("k", 9, ["a", "b", "c"])])
         (corpus / "zz.json").write_text(serialize_instance(bad))
-        messages = []
-        for jobs in ("1", "2"):
-            assert run(["bench", "--dir", str(corpus), "--jobs", jobs]) == 1
-            messages.append(capsys.readouterr().err)
-        assert messages[0] == messages[1] and messages[0].startswith("error: ")
-
-    @pytest.mark.parametrize("jobs", ("0", "-3"))
-    def test_fewer_than_one_job_is_input_error(self, corpus, jobs, capsys):
-        assert exit_code(["bench", "--dir", str(corpus), "--jobs", jobs]) == 1
+        assert run(["bench", "--dir", str(corpus)]) == 1
         captured = capsys.readouterr()
-        assert "argument --jobs: expected a positive integer" in captured.err
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    def test_jobs_option_is_a_usage_error(self, corpus, capsys):
+        # bench solves in one process; --jobs is not an option
+        assert exit_code(["bench", "--dir", str(corpus), "--jobs", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --jobs 2" in captured.err
         assert captured.out == ""
 
     def test_empty_corpus_is_input_error(self, tmp_path):

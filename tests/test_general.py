@@ -405,9 +405,9 @@ class TestAgainstRescanningReference:
             state = PushState(ctx, placement)
             th = ThresholdsG.make(ctx.t, beta)
             for step in range(11):
-                fast_trace, slow_trace = [], []
+                slow_trace = []
                 fast = explore(
-                    ctx, state, th, fake_picker=picker(contexts * 11 + step), trace=fast_trace
+                    ctx, state, th, fake_picker=picker(contexts * 11 + step), traced=True
                 )
                 slow = rescanning_explore(
                     ctx, state, th, fake_picker=picker(contexts * 11 + step), trace=slow_trace
@@ -419,7 +419,7 @@ class TestAgainstRescanningReference:
                 assert fast.targets == [ctx.instance.mask(r) for r in slow.round_activated]
                 assert fast.orientation.head == slow.orientation.head
                 assert fast.orientation.in_load == slow.orientation.in_load
-                assert fast_trace == slow_trace
+                assert fast.events == slow_trace
                 rounds += len(slow.round_activated)
                 fakes += sum(event["event"] == "fake" for event in slow_trace)
                 move = find_push_general(ctx, state, fast, th)
@@ -582,8 +582,7 @@ class TestKeptLabels:
                 mark = len(trace)
                 result = real_push(state, move, relabel, trace)
                 reasons = keep_refusals(ctx, state, move, searched[-1])
-                fresh_trace = []
-                fresh = explore(ctx, state, th, trace=fresh_trace)
+                fresh = explore(ctx, state, th, traced=True)
                 assert result.levels == fresh.levels
                 assert result.levels is state.levels
                 assert result.round_activated == fresh.round_activated
@@ -594,7 +593,7 @@ class TestKeptLabels:
                 assert result.orientation.log == fresh.orientation.log
                 assert result.orientation.in_load == fresh.orientation.in_load
                 assert trace[mark + 1:] == [
-                    {**event, "iteration": state.pushes + 1} for event in fresh_trace
+                    {**event, "iteration": state.pushes + 1} for event in fresh.events
                 ]
                 assert state.potential == potential_value(ctx, state.at, state.levels)
                 kept = state.levels is before
@@ -657,6 +656,9 @@ GOLDEN_SHA256 = "9fe5a1d20533dc00e90172863288ae786a4c824a1b216112806b932e06c97b5
 # sha256 over hash_declarations(...) of the same solves, as computed by the
 # matching core's second alternating search and relief's residual search
 GOLDEN_DECLARATIONS_SHA256 = "526fa09b6c6792089ef6fc06b3de64666c3635f6af9adbda40022f78a42157e6"
+# sha256 over the same solves' trace events, one JSON line each as
+# `solve --trace` writes them, so key order counts too
+GOLDEN_TRACES_SHA256 = "f22766e164141e98633da7390c411eb0ec8f976860fc3f38db0fa0c4c03402b6"
 
 
 def golden_corpus():
@@ -669,13 +671,17 @@ def golden_corpus():
 
 
 def test_golden_general_corpus():
-    digest, declared = hashlib.sha256(), hashlib.sha256()
+    digest, declared, traced = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for inst, beta in golden_corpus():
         solution = solve(inst, SolveMode.GENERAL, beta)
         digest.update(json.dumps(solution.to_json(), sort_keys=True).encode())
         hash_declarations(declared, inst, solution)
+        trace = []
+        assert solve(inst, SolveMode.GENERAL, beta, trace=trace) == solution
+        traced.update("".join(json.dumps(event) + "\n" for event in trace).encode())
     assert digest.hexdigest() == GOLDEN_SHA256
     assert declared.hexdigest() == GOLDEN_DECLARATIONS_SHA256
+    assert traced.hexdigest() == GOLDEN_TRACES_SHA256
 
 
 def test_long_adversarial_path_solves_at_the_closed_form():
@@ -710,11 +716,10 @@ class TestExplore:
             t=100,
         )
         th = ThresholdsG.make(100, BETA)
-        trace = []
-        result = explore(ctx, PushState(ctx), th, trace=trace)
+        result = explore(ctx, PushState(ctx), th, traced=True)
         assert result.levels == {"a": 0, "c": 0}
         assert result.conflict == {"a", "b", "c"}
-        activations = [e for e in trace if e["event"].startswith("activate")]
+        activations = [e for e in result.events if e["event"].startswith("activate")]
         assert activations == [{"event": "activate_r1", "machine": "a"}]
 
     def test_rule2_spreads_across_light_edge(self):
@@ -733,11 +738,10 @@ class TestExplore:
             t=100,
         )
         th = ThresholdsG.make(100, BETA)
-        trace = []
-        result = explore(ctx, PushState(ctx), th, trace=trace)
+        result = explore(ctx, PushState(ctx), th, traced=True)
         assert result.orientation.head == {"e1": "b", "e2": "c"}
         assert result.levels == {"c": 0, "a": 0, "b": 0, "d": 1}
-        activations = [e for e in trace if e["event"].startswith("activate")]
+        activations = [e for e in result.events if e["event"].startswith("activate")]
         assert activations == [
             {"event": "activate_r1", "machine": "a"},
             {"event": "activate_r2", "machine": "b"},

@@ -1,5 +1,6 @@
 """Data model, JSON round-trips, validation and the deterministic generators."""
 
+import pickle
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -126,6 +127,13 @@ class TestValidation:
             validate(inst, SolveMode.GENERAL, Fraction(4, 7) - Fraction(1, 1000))
         with pytest.raises(ValidationError):
             validate(inst, SolveMode.GENERAL, Fraction(1))
+
+    def test_validation_error_survives_pickling(self):
+        error = ValidationError(["beta 1 lies outside [4/7, 1)", "job x fits no mode"])
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is ValidationError
+        assert copy.violations == error.violations
+        assert str(copy) == str(error)
 
     def test_auto_resolution(self):
         two = build(

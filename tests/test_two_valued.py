@@ -523,6 +523,9 @@ GOLDEN_SHA256 = "886e2c2e3c345cf9f2ad94da1f12550aee99630a43c0d9d19f04156e7b0a122
 # sha256 over hash_declarations(...) of the same solves, as computed by the
 # matching core's second alternating search and relief's residual search
 GOLDEN_DECLARATIONS_SHA256 = "b9b0b76c3181fe824b68ba7f3340ea27e1b66c3cb948db181baa422995867d26"
+# sha256 over the same solves' trace events, one JSON line each as
+# `solve --trace` writes them, so key order counts too
+GOLDEN_TRACES_SHA256 = "b372f64a27f1fb550f600eac60260ceb212caa460dd58e3770547c800226a167"
 
 
 def golden_corpus():
@@ -540,10 +543,14 @@ def golden_corpus():
 
 
 def test_golden_two_valued_corpus():
-    digest, declared = hashlib.sha256(), hashlib.sha256()
+    digest, declared, traced = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for inst in golden_corpus():
         solution = solve(inst, SolveMode.TWO_VALUED)
         digest.update(json.dumps(solution.to_json(), sort_keys=True).encode())
         hash_declarations(declared, inst, solution)
+        trace = []
+        assert solve(inst, SolveMode.TWO_VALUED, trace=trace) == solution
+        traced.update("".join(json.dumps(event) + "\n" for event in trace).encode())
     assert digest.hexdigest() == GOLDEN_SHA256
     assert declared.hexdigest() == GOLDEN_DECLARATIONS_SHA256
+    assert traced.hexdigest() == GOLDEN_TRACES_SHA256
