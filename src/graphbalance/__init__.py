@@ -44,7 +44,6 @@ from .preprocess import (
     EdgeJob,
     GuessContext,
     MovableJob,
-    classify_jobs,
     min_edge_load_into,
     reduce_instance,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "ValidationError",
     "ValidationReport",
     "certified_ratio_bound",
-    "classify_jobs",
     "derive_beta",
     "exact_opt",
     "feasible_at",

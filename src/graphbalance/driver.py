@@ -105,27 +105,25 @@ def solve(
         nonlocal invocations, pushes
         invocations += 1
         sub: list | None = [] if trace is not None else None
+
+        def emit(stage: str, events) -> None:
+            if trace is not None:
+                trace.extend({"t": t, "stage": stage, **event} for event in events)
+
         reduced = reduce_instance(instance, t, mode, beta, memo)
         if isinstance(reduced, Declaration):
             declarations.append(reduced)
-            if trace is not None:
-                trace.append(
-                    {"t": t, "stage": "reduce", "op": "declare", "kind": reduced.kind}
-                )
-                trace.append({"t": t, "stage": "search", "outcome": "declared"})
+            emit("reduce", [{"op": "declare", "kind": reduced.kind}])
+            emit("search", [{"outcome": "declared"}])
             return None
         if trace is not None:
-            trace.extend(
-                {"t": t, "stage": "reduce", **ev} for ev in reduced.reduction_events()
-            )
+            emit("reduce", reduced.reduction_events())
         result, made = _dispatch(reduced, sub)
         pushes += made
-        if trace is not None and sub:
-            trace.extend({"t": t, "stage": "core", **ev} for ev in sub)
+        emit("core", sub)
         if isinstance(result, Declaration):
             declarations.append(result)
-            if trace is not None:
-                trace.append({"t": t, "stage": "search", "outcome": "declared"})
+            emit("search", [{"outcome": "declared"}])
             return None
         full = reduced.expand(result)
         valid, makespan = oracle.verify_solution(instance, full)
@@ -135,10 +133,7 @@ def solve(
             raise InvariantViolation(
                 f"makespan {makespan} exceeds {format_fraction(bound)} * {t}"
             )
-        if trace is not None:
-            trace.append(
-                {"t": t, "stage": "search", "outcome": "accepted", "makespan": makespan}
-            )
+        emit("search", [{"outcome": "accepted", "makespan": makespan}])
         return full, makespan
 
     best = attempt(lo)

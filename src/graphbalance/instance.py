@@ -333,8 +333,11 @@ def validate(
     ``auto`` resolves to ``two_valued`` when exactly two multi-machine weights
     exist and every heavier job is restricted to two machines, otherwise to
     ``general`` (deriving the smallest admissible beta if none is given).
-    A beta outside [4/7, 1) raises :class:`ValidationError` immediately.
+    A beta outside [4/7, 1) raises :class:`ValidationError` immediately,
+    whatever mode it resolves to.
     """
+    if beta is not None:
+        _check_beta(beta)
     if mode == SolveMode.AUTO:
         weights, violations = _two_valued_weights(instance)
         if not violations:

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .instance import (
     Instance,
+    JobSpec,
     SolveMode,
     floor_times,
     format_fraction,
@@ -410,64 +411,18 @@ def _mode_payload(
     return payload
 
 
-def _edge_floor(
-    t: int, mode: SolveMode, beta: Fraction | None, heavy: int
-) -> int:
-    """The integer a multi-machine job's weight must exceed to be an edge job.
-
-    Two-valued: ``max(floor(t/2), W-1)`` with W the heavy weight, so only
-    heavy jobs above t/2 qualify.  General: ``floor(beta*t)``.  Weights are
-    integers, so ``w > x`` iff ``w > floor(x)``.
-    """
-    if mode == SolveMode.TWO_VALUED:
-        return max(t // 2, heavy - 1)
-    if mode == SolveMode.GENERAL:
-        if beta is None:
-            raise ValidationError(["general mode requires beta"])
-        return floor_times(beta, t)
-    raise ValueError("classification requires a resolved mode")
-
-
-def classify_jobs(
-    instance: Instance, t: int, mode: SolveMode, beta: Fraction | None = None
-) -> tuple[list[EdgeJob], list[MovableJob]]:
-    """Split the multi-machine jobs into edge jobs and movables at guess t.
-
-    A job is an edge job iff its weight exceeds :func:`_edge_floor`: in
-    two-valued mode the heavy weight above t/2, in general mode any weight
-    above beta*t.  Single-machine jobs are ignored here; fold them first.
-    """
-    multi = [j for j in instance.jobs if len(j.eligible) >= 2]
-    floor = _edge_floor(t, mode, beta, max((j.weight for j in multi), default=0))
-    edge_jobs, movables = [], []
-    for job in multi:
-        if job.weight > floor:
-            if len(job.eligible) != 2:
-                raise ValidationError(
-                    [
-                        f"job {job.id!r} is heavy at t={t} but eligible on "
-                        f"{len(job.eligible)} machines"
-                    ]
-                )
-            u, v = instance.sorted_eligible(job)
-            edge_jobs.append(EdgeJob(job.id, u, v, job.weight))
-        else:
-            movables.append(
-                MovableJob(job.id, job.weight, job.eligible, instance.mask(job.eligible))
-            )
-    return edge_jobs, movables
-
-
 @dataclass
 class _SolveBasis:
     """What every guess of one solve shares: single-machine jobs folded into
-    the dedicated loads, and the multi-machine weights sorted ascending."""
+    the dedicated loads, the multi-machine jobs in instance order, and their
+    weights sorted ascending."""
 
     instance: Instance
     mode: SolveMode
     beta: Fraction | None
     heavy_weight: int | None
     light_weight: int | None
+    multi: tuple[JobSpec, ...]
     weights: list[int]
     max_weight: int
     dedicated: dict[str, int]
@@ -499,15 +454,15 @@ def _solve_basis(
 ) -> _SolveBasis:
     dedicated = {m.id: m.dedicated_load for m in instance.machines}
     forced: list[tuple[str, str]] = []
-    weights: list[int] = []
+    multi: list[JobSpec] = []
     for job in instance.jobs:
         if len(job.eligible) == 1:
             (only,) = job.eligible
             dedicated[only] += job.weight
             forced.append((job.id, only))
         else:
-            weights.append(job.weight)
-    weights.sort()
+            multi.append(job)
+    weights = sorted(job.weight for job in multi)
     heavy_weight = light_weight = None
     if mode == SolveMode.TWO_VALUED and weights:
         heavy_weight, light_weight = weights[-1], weights[0]
@@ -517,6 +472,7 @@ def _solve_basis(
         beta=beta,
         heavy_weight=heavy_weight,
         light_weight=light_weight,
+        multi=tuple(multi),
         weights=weights,
         max_weight=instance.max_weight(),
         dedicated=dedicated,
@@ -526,15 +482,31 @@ def _solve_basis(
     )
 
 
-def _reduce_edge_set(basis: _SolveBasis, t: int) -> _EdgeSetReduction:
-    """Fold pendant trees of one-cycle components, then replace parallel
-    edge pairs by a movable of the weight difference, recording the
+def _edge_floor(basis: _SolveBasis, t: int) -> int:
+    """The integer a multi-machine job's weight must exceed to be an edge job.
+
+    Two-valued: ``max(floor(t/2), W-1)`` with W the heavy weight, so only
+    heavy jobs above t/2 qualify.  General: ``floor(beta*t)``.  Weights are
+    integers, so ``w > x`` iff ``w > floor(x)``.
+    """
+    if basis.mode == SolveMode.TWO_VALUED:
+        return max(t // 2, (basis.heavy_weight or 0) - 1)
+    if basis.beta is None:
+        raise ValidationError(["general mode requires beta"])
+    return floor_times(basis.beta, t)
+
+
+def _reduce_edge_set(basis: _SolveBasis, t: int, floor: int) -> _EdgeSetReduction:
+    """Split the multi-machine jobs at *floor* into edge jobs and movables,
+    fold the pendant trees of one-cycle components, then replace each
+    parallel edge pair by a movable of the weight difference, recording the
     dedicated loads after each of the two passes that changed them.
 
-    One round of the two passes suffices: removing edges creates no cycle,
-    and once the pendant trees are folded each parallel pair is a whole
-    component, so the graph left has only isolated, tree and cycle
-    components, which the closing check confirms.
+    A parallel pair is a cycle of two edges: a ``cycle`` component, or a
+    ``one_cycle`` core once its pendant trees are folded (three parallel
+    edges form a ``multi_cycle``, which returns first).  Removing edges
+    creates no cycle, so the closing check finds only isolated, tree and
+    cycle components.
     """
     instance = basis.instance
     order = instance.machine_index.__getitem__
@@ -547,49 +519,60 @@ def _reduce_edge_set(basis: _SolveBasis, t: int) -> _EdgeSetReduction:
     def checkpoint() -> None:
         checkpoints.append((max(dedicated.values(), default=0), dict(dedicated)))
 
-    edge_jobs, movables = classify_jobs(instance, t, basis.mode, basis.beta)
+    edge_jobs: list[EdgeJob] = []
+    movables: list[MovableJob] = []
+    for job in basis.multi:
+        if job.weight <= floor:
+            mask = instance.mask(job.eligible)
+            movables.append(MovableJob(job.id, job.weight, job.eligible, mask))
+        elif len(job.eligible) != 2:
+            raise ValidationError(
+                [
+                    f"job {job.id!r} is heavy at t={t} but eligible on "
+                    f"{len(job.eligible)} machines"
+                ]
+            )
+        else:
+            u, v = instance.sorted_eligible(job)
+            edge_jobs.append(EdgeJob(job.id, u, v, job.weight))
     graph = EdgeGraph(nodes, tuple(edge_jobs))
     dropped: set[str] = set()
+    pairs: list[tuple[EdgeJob, ...]] = []
     for comp in graph.components():
         if comp.kind == "multi_cycle":
             return _EdgeSetReduction(checkpoints, multi_cycle=comp)
         if comp.kind == "one_cycle":
-            _, _, folds = _prune_to_core(graph, comp)
+            _, core, folds = _prune_to_core(graph, comp)
             for edge, head in folds:
                 dedicated[head] += edge.weight
                 forced.append((edge.id, head))
                 dropped.add(edge.id)
+        elif comp.kind == "cycle":
+            core = comp.edges
+        else:
+            continue
+        if len(core) == 2:
+            pairs.append(core)
     if dropped:
         checkpoint()
 
-    # classify_jobs puts each edge's ends in instance order, so (u, v)
-    # names its pair
-    by_pair: dict[tuple[str, str], list[EdgeJob]] = {}
-    for e in edge_jobs:
-        if e.id not in dropped:
-            by_pair.setdefault((e.u, e.v), []).append(e)
-    doubles = sorted(
-        ((pair, bucket) for pair, bucket in by_pair.items() if len(bucket) > 1),
-        key=lambda kv: (order(kv[0][0]), order(kv[0][1])),
-    )
-    for (u, v), bucket in doubles:
-        if len(bucket) != 2:
-            raise InvariantViolation(
-                "3+ parallel edges imply a multi-cycle component"
-            )
-        first, second = sorted(bucket, key=lambda e: (-e.weight, e.id))
+    # each edge's ends are in instance order, so (u, v) names its pair
+    pairs.sort(key=lambda pair: (order(pair[0].u), order(pair[0].v)))
+    for pair in pairs:
+        first, second = sorted(pair, key=lambda e: (-e.weight, e.id))
+        u, v = first.u, first.v
         dedicated[u] += second.weight
         dedicated[v] += second.weight
         diff = first.weight - second.weight
         if diff > 0:
             pid = f"~{first.id}+{second.id}"
-            pair = frozenset((u, v))
-            movables.append(MovableJob(pid, diff, pair, instance.mask(pair)))
+            ends = frozenset((u, v))
+            movables.append(MovableJob(pid, diff, ends, instance.mask(ends)))
             twins.append(TwinFold(pid, first.id, second.id, u, v))
         else:
             twins.append(TwinFold(None, first.id, second.id, u, v))
         dropped.update((first.id, second.id))
-    if doubles:
+    if pairs:
         checkpoint()
 
     if dropped:
@@ -638,10 +621,11 @@ def reduce_instance(
     """Apply all guess-t reductions, or declare the guess impossible.
 
     In order: fold single-machine jobs, check dedicated loads against t,
-    classify, reject components with two or more cycles, fold pendant trees
-    of one-cycle components, and replace parallel edge pairs by a movable of
-    the weight difference, checking the dedicated loads after each of these
-    passes.  ``forced`` and ``twins`` record each fold.
+    split the rest into edge jobs and movables, reject components with two
+    or more cycles, fold pendant trees of one-cycle components, and replace
+    parallel edge pairs by a movable of the weight difference, checking the
+    dedicated loads after each of these passes.  ``forced`` and ``twins``
+    record each fold.
 
     The work depends on t only through the edge set and those checks, so a
     solve passes one *memo* dict to all its guesses: singles are folded
@@ -665,12 +649,12 @@ def reduce_instance(
 
     if basis.peak > t:
         return _overflow(basis, t, basis.dedicated)
-    heavy = basis.weights[-1] if basis.weights else 0
+    floor = _edge_floor(basis, t)
     # edge sets are suffixes of the sorted weights: key one by its length
-    key = bisect_right(basis.weights, _edge_floor(t, mode, beta, heavy))
+    key = bisect_right(basis.weights, floor)
     entry = memo.get(key)
     if entry is None:
-        entry = memo[key] = _reduce_edge_set(basis, t)
+        entry = memo[key] = _reduce_edge_set(basis, t, floor)
     for peak, loads in entry.checkpoints:
         if peak > t:
             return _overflow(basis, t, loads)

@@ -15,6 +15,13 @@ from graphbalance import (
     verify_certificate,
 )
 from graphbalance.oracle import CONFIRMED, NEEDS_EXHAUSTIVE, REFUTED
+from graphbalance.preprocess import (
+    ACTIVATED_SET,
+    DEDICATED_OVERFLOW,
+    HALL_VIOLATION,
+    MULTI_CYCLE_COMPONENT,
+    PREFLOW_HEIGHT,
+)
 
 from conftest import (
     AUTO_MODE_DECLARATIONS,
@@ -240,3 +247,122 @@ def test_weak_aggregate_falls_back_to_exhaustive():
     decl = Declaration(10, "activated_set", payload)
     assert verify_certificate(inst, decl, allow_exhaustive=False) == NEEDS_EXHAUSTIVE
     assert verify_certificate(inst, decl, allow_exhaustive=True) == CONFIRMED
+
+
+# Hand-made instances for the declaration table below.
+# Five weight-6 edges on four machines: two cycles, so OPT > 10.
+MULTI_CYCLE = (
+    [("a", 0), ("b", 0), ("c", 0), ("d", 0)],
+    [
+        ("ab", 6, ["a", "b"]), ("bc", 6, ["b", "c"]), ("ca", 6, ["c", "a"]),
+        ("cd", 6, ["c", "d"]), ("db", 6, ["d", "b"]),
+    ],
+)
+WIDE_CYCLE = (MULTI_CYCLE[0], MULTI_CYCLE[1] + [("abc", 6, ["a", "b", "c"])])
+# e and f overlap on b; no edge job at t = 10 under beta 7/10
+OVERLAP = ([("a", 0), ("b", 0), ("c", 0)], [("e", 6, ["a", "b"]), ("f", 6, ["b", "c"])])
+# three weight-6 jobs on two machines: OPT 12
+CROWDED = ([("a", 0), ("b", 0)], [(j, 6, ["a", "b"]) for j in ("e", "f", "g")])
+# five weight-5 jobs on two machines weigh 25 > 2 * 12: OPT 15
+FIVES = ([("a", 0), ("b", 0)], [(f"j{i}", 5, ["a", "b"]) for i in range(5)])
+# at t = 10 in two-valued mode h is an edge on {a, b} and l a movable; OPT 10
+HEAVY_LIGHT = (
+    [("a", 0), ("b", 0), ("c", 0)], [("h", 10, ["a", "b"]), ("l", 3, ["a", "b"])]
+)
+
+GENERAL_4_7 = {"mode": "general", "beta": "4/7"}
+TWO_VALUED_10_3 = {"mode": "two_valued", "W": 10, "w": 3}
+FIVE_EDGES = ["ab", "bc", "ca", "cd", "db"]
+
+
+def activated(active, placement, pl, mode=TWO_VALUED_10_3):
+    return {"activated": active, "placement": placement, "pl": pl, **mode}
+
+
+HAND_MADE = {
+    # multi_cycle_component
+    "cycle-recount": (MULTI_CYCLE, 10, MULTI_CYCLE_COMPONENT, {
+        "nodes": ["a", "b", "c", "d"], "edges": FIVE_EDGES}, CONFIRMED),
+    "cycle-duplicate-edge": (MULTI_CYCLE, 10, MULTI_CYCLE_COMPONENT, {
+        "nodes": ["a", "b", "c", "d"], "edges": ["ab", "ab", "bc", "ca", "cd"]}, REFUTED),
+    "cycle-unknown-job": (MULTI_CYCLE, 10, MULTI_CYCLE_COMPONENT, {
+        "nodes": ["a", "b", "c", "d"], "edges": [*FIVE_EDGES, "zz"]}, MalformedDeclaration),
+    "cycle-edges-share-a-machine": (MULTI_CYCLE, 12, MULTI_CYCLE_COMPONENT, {
+        "nodes": ["a", "b", "c", "d"], "edges": FIVE_EDGES}, REFUTED),
+    "cycle-edge-leaves-the-nodes": (MULTI_CYCLE, 10, MULTI_CYCLE_COMPONENT, {
+        "nodes": ["a", "b", "c"], "edges": ["ab", "bc", "ca", "cd"]}, REFUTED),
+    "cycle-job-on-three-machines": (WIDE_CYCLE, 10, MULTI_CYCLE_COMPONENT, {
+        "nodes": ["a", "b", "c", "d"], "edges": [*FIVE_EDGES, "abc"]}, REFUTED),
+    # hall_violation
+    "hall-neighborhood-too-small": (CROWDED, 10, HALL_VIOLATION, {
+        "jobs": ["e", "f", "g"], **GENERAL_7_10}, CONFIRMED),
+    "hall-duplicate-job": (CROWDED, 10, HALL_VIOLATION, {
+        "jobs": ["e", "e", "f", "g"], **GENERAL_7_10}, REFUTED),
+    "hall-unknown-job": (CROWDED, 10, HALL_VIOLATION, {
+        "jobs": ["e", "zz"], **GENERAL_7_10}, MalformedDeclaration),
+    "hall-witness-jobs-fit-together": (CROWDED, 12, HALL_VIOLATION, {
+        "jobs": ["e", "f", "g"], **GENERAL_7_10}, REFUTED),
+    "hall-neighborhood-large-enough": (OVERLAP, 10, HALL_VIOLATION, {
+        "jobs": ["e", "f"], **GENERAL_7_10}, REFUTED),
+    "hall-malformed-beta": (CROWDED, 10, HALL_VIOLATION, {
+        "jobs": ["e", "f", "g"], "mode": "general", "beta": "0.7"}, MalformedDeclaration),
+    "hall-missing-beta": (CROWDED, 10, HALL_VIOLATION, {
+        "jobs": ["e", "f", "g"], "mode": "general"}, MalformedDeclaration),
+    # preflow_height
+    "cut-overloaded": (FIVES, 12, PREFLOW_HEIGHT, {
+        "cut": ["a", "b"], "captive_jobs": [f"j{i}" for i in range(5)], **GENERAL_7_10},
+        CONFIRMED),
+    "cut-duplicate-machine": (CROWDED, 10, PREFLOW_HEIGHT, {
+        "cut": ["a", "a"], "captive_jobs": ["e"], **GENERAL_7_10}, REFUTED),
+    "cut-unknown-machine": (CROWDED, 10, PREFLOW_HEIGHT, {
+        "cut": ["a", "zz"], "captive_jobs": ["e"], **GENERAL_7_10}, REFUTED),
+    "cut-duplicate-captive": (CROWDED, 10, PREFLOW_HEIGHT, {
+        "cut": ["a", "b"], "captive_jobs": ["e", "f", "f", "g"], **GENERAL_7_10}, REFUTED),
+    "cut-unknown-captive": (CROWDED, 10, PREFLOW_HEIGHT, {
+        "cut": ["a", "b"], "captive_jobs": ["zz"], **GENERAL_7_10}, MalformedDeclaration),
+    "cut-captive-escapes": (OVERLAP, 10, PREFLOW_HEIGHT, {
+        "cut": ["a", "b"], "captive_jobs": ["e", "f"], **GENERAL_7_10}, REFUTED),
+    "cut-load-fits": (OVERLAP, 10, PREFLOW_HEIGHT, {
+        "cut": ["a", "b"], "captive_jobs": ["e"], **GENERAL_7_10}, REFUTED),
+    # activated_set
+    "activated-duplicate-machine": (HEAVY_LIGHT, 10, ACTIVATED_SET, activated(
+        ["a", "a"], {"l": "b"}, {"b": 3}), REFUTED),
+    "activated-unknown-machine": (HEAVY_LIGHT, 10, ACTIVATED_SET, activated(
+        ["zz"], {"l": "b"}, {"b": 3}), REFUTED),
+    "activated-placement-misses-a-movable": (HEAVY_LIGHT, 10, ACTIVATED_SET, activated(
+        ["a"], {}, {}), REFUTED),
+    "activated-placement-on-ineligible-machine": (HEAVY_LIGHT, 10, ACTIVATED_SET, activated(
+        ["c"], {"l": "c"}, {"c": 3}), REFUTED),
+    "activated-wrong-pl": (HEAVY_LIGHT, 10, ACTIVATED_SET, activated(
+        ["a"], {"l": "b"}, {"b": 2}), REFUTED),
+    "activated-fits-exhaustively": (HEAVY_LIGHT, 10, ACTIVATED_SET, activated(
+        ["a"], {"l": "b"}, {"a": 0, "b": 3, "c": 0}), REFUTED),
+    "activated-reduction-declares-multi-cycle": (MULTI_CYCLE, 10, ACTIVATED_SET, activated(
+        ["a"], {}, {}, GENERAL_4_7), CONFIRMED),
+    "activated-pl-not-integer": (HEAVY_LIGHT, 10, ACTIVATED_SET, activated(
+        ["a"], {"l": "b"}, {"b": "3"}), MalformedDeclaration),
+    "activated-pl-boolean": (HEAVY_LIGHT, 10, ACTIVATED_SET, activated(
+        ["a"], {"l": "b"}, {"b": True}), MalformedDeclaration),
+    "activated-pl-not-object": (HEAVY_LIGHT, 10, ACTIVATED_SET, activated(
+        ["a"], {"l": "b"}, [3]), MalformedDeclaration),
+    # dedicated_overflow
+    "overflow-unknown-machine": (CROWDED, 10, DEDICATED_OVERFLOW, {
+        "machine": "zz", "dedicated": 0, **GENERAL_7_10}, MalformedDeclaration),
+    "overflow-heavy-job-on-three-machines": (WIDE_CYCLE, 10, DEDICATED_OVERFLOW, {
+        "machine": "a", "dedicated": 0, **GENERAL_4_7}, MalformedDeclaration),
+}
+
+
+@pytest.mark.parametrize(
+    "shape, t, kind, payload, expected", HAND_MADE.values(), ids=HAND_MADE.keys()
+)
+def test_hand_made_declaration(shape, t, kind, payload, expected):
+    inst = build(*shape)
+    declaration = Declaration(t, kind, payload)
+    if expected is MalformedDeclaration:
+        with pytest.raises(MalformedDeclaration):
+            verify_certificate(inst, declaration)
+        return
+    assert verify_certificate(inst, declaration) == expected
+    if expected == CONFIRMED:
+        assert not feasible_at(inst, t)

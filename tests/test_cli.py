@@ -132,6 +132,22 @@ def test_unparseable_instance_is_input_error(tmp_path):
     assert run(["solve", str(broken)]) == 1
 
 
+def test_refused_instance_is_input_error(tmp_path, capsys):
+    refused = tmp_path / "refused.json"
+    refused.write_text('{"machines": [], "jobs": [], "extra": 1}')
+    assert run(["solve", str(refused)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown top-level fields: ['extra']" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("beta", ("1/2", "3/2"))
+def test_beta_outside_the_range_is_input_error_in_auto_mode(instance_file, beta, capsys):
+    # the instance resolves to two_valued, where no beta is used
+    assert run(["solve", str(instance_file), "--beta", beta]) == 1
+    assert "beta must lie in [4/7, 1)" in capsys.readouterr().err
+
+
 def test_unexpected_exception_is_internal_error(instance_file, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")

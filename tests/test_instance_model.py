@@ -1,5 +1,6 @@
 """Data model, JSON round-trips, validation and the deterministic generators."""
 
+import json
 import pickle
 import re
 from fractions import Fraction
@@ -19,6 +20,7 @@ from graphbalance import (
     parse_fraction,
     parse_instance,
     serialize_instance,
+    solve,
     validate,
 )
 
@@ -84,6 +86,70 @@ class TestParsing:
         assert parse_instance(serialize_instance(inst)) == inst
 
 
+M1 = {"id": "m1"}
+J1 = {"id": "j1", "weight": 5, "eligible": ["m1"]}
+
+
+def document(**fields):
+    """MINIMAL as JSON with each of *fields* set at the top level, or
+    dropped where it is None."""
+    doc = {"machines": [M1], "jobs": [J1], **fields}
+    return json.dumps({key: value for key, value in doc.items() if value is not None})
+
+
+NOT_STRING_ARRAY = "'eligible' must be a string array"
+PARSE_REFUSALS = {
+    "top-not-object": ("[]", "top-level document must be a JSON object"),
+    "unknown-top-field": (document(extra=1), "unknown top-level fields: ['extra']"),
+    "no-machines": (document(machines=None), "missing required field 'machines'"),
+    "no-jobs": (document(jobs=None), "missing required field 'jobs'"),
+    "machines-not-array": (
+        document(machines={"m1": {}}), "'machines' and 'jobs' must be arrays"
+    ),
+    "jobs-not-array": (document(jobs="j1"), "'machines' and 'jobs' must be arrays"),
+    "machine-not-object": (document(machines=["m1"]), "machine entry must be an object"),
+    "machine-without-id": (
+        document(machines=[{"dedicated_load": 2}]), "machine entry is missing 'id'"
+    ),
+    "empty-machine-id": (
+        document(machines=[{"id": ""}]), "machine id must be a non-empty string"
+    ),
+    "negative-dedicated-load": (
+        document(machines=[{"id": "m1", "dedicated_load": -1}]),
+        "dedicated_load must be >= 0",
+    ),
+    "job-not-object": (document(jobs=[["j1", 5, ["m1"]]]), "job entry must be an object"),
+    "unknown-job-field": (
+        document(jobs=[{**J1, "due": 3}]), "job entry has unknown fields: ['due']"
+    ),
+    "missing-job-field": (
+        document(jobs=[{"id": "j1", "eligible": ["m1"]}]), "job entry is missing 'weight'"
+    ),
+    "eligible-not-array": (document(jobs=[{**J1, "eligible": "m1"}]), NOT_STRING_ARRAY),
+    "eligible-not-strings": (document(jobs=[{**J1, "eligible": [1]}]), NOT_STRING_ARRAY),
+    "eligible-repeats": (
+        document(jobs=[{**J1, "eligible": ["m1", "m1"]}]),
+        "duplicate machines in 'eligible'",
+    ),
+    "empty-eligible": (
+        document(jobs=[{**J1, "eligible": []}]), "eligible set must be non-empty"
+    ),
+    "empty-job-id": (
+        document(jobs=[{**J1, "id": ""}]), "job id must be a non-empty string"
+    ),
+    "duplicate-job-id": (document(jobs=[J1, J1]), "duplicate job id 'j1'"),
+    "bad-mode-hint": (document(mode_hint="fast"), "invalid mode_hint 'fast'"),
+}
+
+
+@pytest.mark.parametrize(
+    "doc, message", PARSE_REFUSALS.values(), ids=PARSE_REFUSALS.keys()
+)
+def test_parse_refusal(doc, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_instance(doc)
+
+
 class TestFractions:
     def test_parse_forms(self):
         assert parse_fraction("7/10") == Fraction(7, 10)
@@ -127,6 +193,18 @@ class TestValidation:
             validate(inst, SolveMode.GENERAL, Fraction(4, 7) - Fraction(1, 1000))
         with pytest.raises(ValidationError):
             validate(inst, SolveMode.GENERAL, Fraction(1))
+
+    @pytest.mark.parametrize("mode", (SolveMode.AUTO, SolveMode.TWO_VALUED))
+    @pytest.mark.parametrize(
+        "beta", (Fraction(1, 2), Fraction(3, 2)), ids=("1/2", "3/2")
+    )
+    def test_beta_range_error_in_every_mode(self, mode, beta):
+        # the instance resolves to two_valued, where no beta is used
+        inst = generate_two_valued(4, 2, 3, 10, 3, 2, 1)
+        with pytest.raises(ValidationError, match=r"beta must lie in \[4/7, 1\)"):
+            validate(inst, mode, beta)
+        with pytest.raises(ValidationError, match=r"beta must lie in \[4/7, 1\)"):
+            solve(inst, mode, beta)
 
     def test_validation_error_survives_pickling(self):
         error = ValidationError(["beta 1 lies outside [4/7, 1)", "job x fits no mode"])

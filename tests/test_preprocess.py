@@ -16,7 +16,7 @@ from graphbalance import (
     InvariantViolation,
     RegimeError,
     SolveMode,
-    classify_jobs,
+    ValidationError,
     feasible_at,
     generate_adversarial_path,
     generate_general,
@@ -62,20 +62,20 @@ class TestClassification:
             [("a", 0), ("b", 0), ("c", 0)],
             [("h", 10, ["a", "b"]), ("l", 3, ["a", "b", "c"])],
         )
-        edges, movables = classify_jobs(inst, 15, SolveMode.TWO_VALUED)
-        assert [e.id for e in edges] == ["h"]          # 10 > 7.5 and heavy
-        assert [p.id for p in movables] == ["l"]
-        edges, movables = classify_jobs(inst, 20, SolveMode.TWO_VALUED)
-        assert edges == [] and len(movables) == 2      # 10 is not > 10
+        ctx = reduce_instance(inst, 15, SolveMode.TWO_VALUED)
+        assert [e.id for e in ctx.graph.edges] == ["h"]  # 10 > 7.5 and heavy
+        assert [p.id for p in ctx.movables] == ["l"]
+        ctx = reduce_instance(inst, 20, SolveMode.TWO_VALUED)
+        assert ctx.graph.edges == () and len(ctx.movables) == 2  # 10 is not > 10
 
     def test_general_threshold_boundary(self):
         inst = build(
             [("a", 0), ("b", 0)],
             [("x", 71, ["a", "b"]), ("y", 70, ["a", "b"])],
         )
-        edges, movables = classify_jobs(inst, 100, SolveMode.GENERAL, Fraction(7, 10))
-        assert [e.id for e in edges] == ["x"]
-        assert [p.id for p in movables] == ["y"]
+        ctx = reduce_instance(inst, 100, SolveMode.GENERAL, Fraction(7, 10))
+        assert [e.id for e in ctx.graph.edges] == ["x"]
+        assert [p.id for p in ctx.movables] == ["y"]
 
 
 class TestReduce:
@@ -91,6 +91,15 @@ class TestReduce:
         movable = ctx.movables[0]
         assert movable.weight == 2 and movable.eligible == frozenset({"u", "v"})
         assert not ctx.graph.edges
+
+    def test_heavy_job_on_three_machines_is_refused(self):
+        # validate refuses this instance; reduce_instance checks it again
+        inst = build(
+            [("a", 0), ("b", 0), ("c", 0)],
+            [("wide", 10, ["a", "b", "c"]), ("e", 10, ["a", "b"])],
+        )
+        with pytest.raises(ValidationError, match="'wide' is heavy at t=10"):
+            reduce_instance(inst, 10, SolveMode.GENERAL, Fraction(4, 7))
 
     def test_equal_parallel_pair_drops_movable(self):
         inst = build(
