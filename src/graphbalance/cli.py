@@ -16,9 +16,6 @@ from .driver import solve
 from .errors import (
     GraphBalanceError,
     InvariantViolation,
-    MalformedDeclaration,
-    OracleBudgetError,
-    OracleTimeout,
     ParseError,
     ValidationError,
 )
@@ -247,21 +244,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ParseError,
-        ValidationError,
-        MalformedDeclaration,
-        OracleBudgetError,
-        OracleTimeout,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (InvariantViolation, AssertionError) as exc:
+    except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except GraphBalanceError as exc:
+    except (GraphBalanceError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # a defect, not bad input

@@ -269,7 +269,7 @@ class ValidationReport:
         return self
 
 
-def _check_beta(beta: Fraction | None) -> Fraction:
+def check_beta(beta: Fraction | None) -> Fraction:
     if beta is None:
         raise ValidationError(["general mode requires an explicit beta fraction"])
     if not isinstance(beta, Fraction):
@@ -337,7 +337,7 @@ def validate(
     whatever mode it resolves to.
     """
     if beta is not None:
-        _check_beta(beta)
+        check_beta(beta)
     if mode == SolveMode.AUTO:
         weights, violations = _two_valued_weights(instance)
         if not violations:
@@ -354,7 +354,7 @@ def validate(
         return ValidationReport(not violations, mode, violations, heavy, light)
 
     if mode == SolveMode.GENERAL:
-        beta = _check_beta(beta)
+        beta = check_beta(beta)
         w_max = instance.max_weight()
         light_max = floor_times(beta, w_max)
         violations = []
@@ -417,7 +417,7 @@ def generate_general(
     jobs get arbitrary degree >= 2.  The first job is pinned at ``w_max`` so
     that the instance's maximum weight equals the parameter.
     """
-    beta = _check_beta(beta)
+    beta = check_beta(beta)
     if m < 2:
         raise ValueError("need at least two machines")
     if w_max < 2:

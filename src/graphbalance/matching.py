@@ -78,9 +78,7 @@ def run_matching(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, int]:
     witness_jobs = {jid, *(matched_machine[v] for v in neighborhood)}
     if len(neighborhood) >= len(witness_jobs):
         raise InvariantViolation("witness jobs do not outnumber their neighborhood")
-    payload = {
-        "jobs": sorted(witness_jobs),
-        "neighborhood": sorted(neighborhood),
-        **ctx.mode_payload(),
-    }
-    return Declaration(t, HALL_VIOLATION, payload), 0
+    witness = ctx.declare(
+        HALL_VIOLATION, jobs=sorted(witness_jobs), neighborhood=sorted(neighborhood)
+    )
+    return witness, 0

@@ -154,6 +154,19 @@ def _ids(payload: dict, key: str) -> list[str]:
     return list(value)
 
 
+def _jobs(instance: Instance, payload: dict, key: str) -> list | None:
+    """The jobs ``payload[key]`` names, in its order, or None if it names one
+    twice; an unknown id is malformed."""
+    ids = _ids(payload, key)
+    if len(set(ids)) != len(ids):
+        return None
+    jobs = {j.id: j for j in instance.jobs}
+    for jid in ids:
+        if jid not in jobs:
+            raise MalformedDeclaration(f"unknown job {jid!r}")
+    return [jobs[jid] for jid in ids]
+
+
 def _id_map(payload: dict, key: str, kind: type) -> dict:
     """``payload[key]`` as a map from ids to *kind* values."""
     value = payload.get(key)
@@ -253,34 +266,24 @@ def verify_certificate(
 
     if kind == preprocess.MULTI_CYCLE_COMPONENT:
         nodes = set(_ids(payload, "nodes"))
-        edge_ids = _ids(payload, "edges")
-        if len(set(edge_ids)) != len(edge_ids):
+        edges = _jobs(instance, payload, "edges")
+        if edges is None:
             return REFUTED
-        jobs = {j.id: j for j in instance.jobs}
-        for eid in edge_ids:
-            job = jobs.get(eid)
-            if job is None:
-                raise MalformedDeclaration(f"unknown job {eid!r}")
+        for job in edges:
             # two such jobs on one machine exceed t, so each node takes <= 1
             if 2 * job.weight <= t:
                 return REFUTED
             if len(job.eligible) != 2 or not job.eligible <= nodes:
                 return REFUTED
-        if len(edge_ids) > len(nodes):
+        if len(edges) > len(nodes):
             return CONFIRMED
         return REFUTED
 
     if kind == preprocess.HALL_VIOLATION:
-        job_ids = _ids(payload, "jobs")
+        witness = _jobs(instance, payload, "jobs")
         mode, beta = _payload_mode(payload)
-        if len(set(job_ids)) != len(job_ids):
+        if witness is None:
             return REFUTED
-        jobs = {j.id: j for j in instance.jobs}
-        witness = []
-        for jid in job_ids:
-            if jid not in jobs:
-                raise MalformedDeclaration(f"unknown job {jid!r}")
-            witness.append(jobs[jid])
         weights = sorted(j.weight for j in witness)
         if len(weights) >= 2 and weights[0] + weights[1] <= t:
             return REFUTED  # two witness jobs could share a machine
@@ -297,21 +300,15 @@ def verify_certificate(
 
     if kind == preprocess.PREFLOW_HEIGHT:
         cut = _ids(payload, "cut")
-        captive = _ids(payload, "captive_jobs")
+        captive = _jobs(instance, payload, "captive_jobs")
         mode, beta = _payload_mode(payload)
         cut_set = set(cut)
         if len(cut_set) != len(cut) or not cut_set <= set(instance.machine_index):
             return REFUTED
-        jobs = {j.id: j for j in instance.jobs}
+        if captive is None:
+            return REFUTED
         total = 0
-        seen = set()
-        for jid in captive:
-            job = jobs.get(jid)
-            if job is None:
-                raise MalformedDeclaration(f"unknown job {jid!r}")
-            if jid in seen:
-                return REFUTED
-            seen.add(jid)
+        for job in captive:
             if not job.eligible <= cut_set:
                 return REFUTED  # not captive: eligibility escapes the cut
             total += job.weight
@@ -360,8 +357,6 @@ def _verify_activated_set(instance, declaration, allow_exhaustive: bool) -> str:
             return REFUTED
 
     forced = preprocess.min_edge_load_into(ctx.graph, active)
-    if forced is None:
-        return CONFIRMED
     lhs = sum(pl[v] + ctx.dedicated[v] for v in active) + forced
     if lhs > len(active) * t:
         return CONFIRMED

@@ -26,6 +26,7 @@ from .instance import (
     Instance,
     JobSpec,
     SolveMode,
+    check_beta,
     floor_times,
     format_fraction,
 )
@@ -310,6 +311,9 @@ class GuessContext:
     movables: tuple[MovableJob, ...]
     graph: EdgeGraph
     forced: tuple[tuple[str, str], ...]
+    # the solve parameters a verifier needs to rebuild the guess's graph,
+    # built once per solve: every declaration ends with them
+    mode_fields: dict
     twins: tuple[TwinFold, ...] = field(default=())
     # what a core builds once for this reduced state (relief's flow
     # network); contexts of one memoised edge set share it
@@ -388,27 +392,10 @@ class GuessContext:
             )
         return events
 
-    def mode_payload(self) -> dict:
-        return _mode_payload(
-            self.mode, self.beta, self.heavy_weight, self.light_weight
-        )
-
-
-def _mode_payload(
-    mode: SolveMode,
-    beta: Fraction | None,
-    heavy_weight: int | None,
-    light_weight: int | None,
-) -> dict:
-    """The solve parameters a verifier needs to rebuild the guess's graph."""
-    payload: dict = {"mode": mode.value}
-    if beta is not None:
-        payload["beta"] = format_fraction(beta)
-    if heavy_weight is not None:
-        payload["W"] = heavy_weight
-    if light_weight is not None:
-        payload["w"] = light_weight
-    return payload
+    def declare(self, kind: str, **fields) -> Declaration:
+        """Declare this guess infeasible: a *kind* witness of the core's
+        *fields*, then the mode fields."""
+        return Declaration(self.t, kind, {**fields, **self.mode_fields})
 
 
 @dataclass
@@ -452,6 +439,8 @@ _BASIS = "basis"
 def _solve_basis(
     instance: Instance, mode: SolveMode, beta: Fraction | None
 ) -> _SolveBasis:
+    if beta is not None or mode == SolveMode.GENERAL:
+        check_beta(beta)
     dedicated = {m.id: m.dedicated_load for m in instance.machines}
     forced: list[tuple[str, str]] = []
     multi: list[JobSpec] = []
@@ -464,8 +453,12 @@ def _solve_basis(
             multi.append(job)
     weights = sorted(job.weight for job in multi)
     heavy_weight = light_weight = None
+    mode_fields: dict = {"mode": mode.value}
+    if beta is not None:
+        mode_fields["beta"] = format_fraction(beta)
     if mode == SolveMode.TWO_VALUED and weights:
         heavy_weight, light_weight = weights[-1], weights[0]
+        mode_fields.update(W=heavy_weight, w=light_weight)
     return _SolveBasis(
         instance=instance,
         mode=mode,
@@ -478,7 +471,7 @@ def _solve_basis(
         dedicated=dedicated,
         peak=max(dedicated.values(), default=0),
         forced=tuple(forced),
-        mode_fields=_mode_payload(mode, beta, heavy_weight, light_weight),
+        mode_fields=mode_fields,
     )
 
 
@@ -491,8 +484,6 @@ def _edge_floor(basis: _SolveBasis, t: int) -> int:
     """
     if basis.mode == SolveMode.TWO_VALUED:
         return max(t // 2, (basis.heavy_weight or 0) - 1)
-    if basis.beta is None:
-        raise ValidationError(["general mode requires beta"])
     return floor_times(basis.beta, t)
 
 
@@ -584,8 +575,6 @@ def _reduce_edge_set(basis: _SolveBasis, t: int, floor: int) -> _EdgeSetReductio
             raise InvariantViolation(
                 f"reduced graph kept a {comp.kind} component on {list(comp.nodes)}"
             )
-    if any(len(p.eligible) < 2 for p in movables):
-        raise InvariantViolation("a reduced movable has fewer than two machines")
     context = GuessContext(
         instance=instance,
         t=t,
@@ -597,6 +586,7 @@ def _reduce_edge_set(basis: _SolveBasis, t: int, floor: int) -> _EdgeSetReductio
         movables=tuple(movables),
         graph=graph,
         forced=tuple(forced),
+        mode_fields=basis.mode_fields,
         twins=tuple(twins),
     )
     return _EdgeSetReduction(checkpoints, context=context)
@@ -631,7 +621,8 @@ def reduce_instance(
     solve passes one *memo* dict to all its guesses: singles are folded
     once, and each edge set is reduced once.  Contexts of one edge set share
     their dedicated loads, movables, graph and fold records; cores must not
-    mutate them.
+    mutate them.  A beta outside [4/7, 1), or none in general mode, raises
+    :class:`ValidationError` as :func:`validate` does.
     """
     if mode == SolveMode.AUTO:
         raise ValueError("reduce requires a resolved mode (two_valued or general)")

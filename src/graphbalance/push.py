@@ -110,16 +110,15 @@ def declaration(state: PushState, **extra) -> Declaration:
     machines, their levels and the loads, then the core's own *extra*
     fields."""
     ctx = state.ctx
-    payload = {
-        **ctx.mode_payload(),
-        "activated": sorted(state.levels, key=ctx.index),
-        "levels": dict(sorted(state.levels.items())),
-        "placement": dict(sorted(state.placement.items())),
-        "pl": dict(state.loads),
-        "dedicated": dict(ctx.dedicated),
+    return ctx.declare(
+        ACTIVATED_SET,
+        activated=sorted(state.levels, key=ctx.index),
+        levels=dict(sorted(state.levels.items())),
+        placement=dict(sorted(state.placement.items())),
+        pl=dict(state.loads),
+        dedicated=dict(ctx.dedicated),
         **extra,
-    }
-    return Declaration(ctx.t, ACTIVATED_SET, payload)
+    )
 
 
 def push(state: PushState, move: PushMove, relabel, trace: list | None = None):

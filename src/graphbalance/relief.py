@@ -30,12 +30,7 @@ def run_relief(ctx: GuessContext) -> tuple[dict[str, str] | Declaration, int]:
     feasible, result = network.check(ctx, t)
     if not feasible:
         cut_machines, captive = result
-        payload = {
-            "cut": cut_machines,
-            "captive_jobs": captive,
-            **ctx.mode_payload(),
-        }
-        return Declaration(t, PREFLOW_HEIGHT, payload), 0
+        return ctx.declare(PREFLOW_HEIGHT, cut=cut_machines, captive_jobs=captive), 0
 
     assignment = _round_flow(ctx, items, result)
     ctx.check_loads(assignment, t + max(w for _, w, _ in items) - 1)

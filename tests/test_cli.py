@@ -12,7 +12,7 @@ import pytest
 from graphbalance.cli import main
 
 from conftest import AUTO_MODE_DECLARATIONS, AUTO_MODE_INSTANCE, build
-from graphbalance import serialize_instance
+from graphbalance import InvariantViolation, serialize_instance
 
 
 def run(args):
@@ -155,6 +155,17 @@ def test_unexpected_exception_is_internal_error(instance_file, monkeypatch, caps
     monkeypatch.setattr("graphbalance.cli.solve", broken)
     assert run(["solve", str(instance_file)]) == 2
     assert "internal error: RecursionError" in capsys.readouterr().err
+
+
+def test_invariant_violation_is_internal_error(instance_file, monkeypatch, capsys):
+    # a GraphBalanceError, yet a defect rather than bad input
+    def broken(*args, **kwargs):
+        raise InvariantViolation("potential did not drop: 3 -> 3")
+
+    monkeypatch.setattr("graphbalance.cli.solve", broken)
+    assert run(["solve", str(instance_file)]) == 2
+    err = capsys.readouterr().err
+    assert "internal invariant violation: potential did not drop" in err
 
 
 def test_unknown_flag_is_input_error(instance_file):

@@ -95,12 +95,10 @@ def bfs_run_matching(ctx):
                 frontier.append(holder)
     if len(neighborhood) >= len(witness_jobs):
         raise InvariantViolation("witness jobs do not outnumber their neighborhood")
-    payload = {
-        "jobs": sorted(witness_jobs),
-        "neighborhood": sorted(neighborhood),
-        **ctx.mode_payload(),
-    }
-    return Declaration(t, HALL_VIOLATION, payload), 0
+    witness = ctx.declare(
+        HALL_VIOLATION, jobs=sorted(witness_jobs), neighborhood=sorted(neighborhood)
+    )
+    return witness, 0
 
 
 def reduced(machines, jobs, t):

@@ -8,7 +8,10 @@ an attribute, imports it, or exports it through ``__all__`` — except that
 only the package's users, tests among them, can reach.
 
 Likewise every parameter and local variable of a function is read by that
-function or by a function nested in it.
+function or by a function nested in it, and every module-level import is
+read by its module, annotations included; ``__init__.py`` re-exports what
+it imports, and ``from __future__`` imports are directives, so both are
+exempt.
 """
 
 import ast
@@ -111,6 +114,30 @@ def unread_names(tree):
                 yield getattr(function, "name", "<lambda>"), name, line
 
 
+def read_names(tree):
+    """Every name *tree* loads, the names inside string annotations too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                yield from read_names(ast.parse(note.value, mode="eval"))
+
+
+def unread_imports(tree):
+    """``(name, line)`` of every module-level import that its module never
+    reads."""
+    read = set(read_names(tree))
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).partition(".")[0]
+                if name not in read:
+                    yield name, node.lineno
+
+
 def package_trees():
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -144,5 +171,15 @@ def test_every_parameter_and_local_is_read():
         f"{path.relative_to(PACKAGE)}:{line} {function}: {name}"
         for path, tree in package_trees().items()
         for function, name, line in unread_names(tree)
+    ]
+    assert unread == []
+
+
+def test_every_module_level_import_is_read():
+    unread = [
+        f"{path.relative_to(PACKAGE)}:{line} {name}"
+        for path, tree in package_trees().items()
+        if path.name != "__init__.py"
+        for name, line in unread_imports(tree)
     ]
     assert unread == []

@@ -17,6 +17,7 @@ from graphbalance import (
     RegimeError,
     SolveMode,
     ValidationError,
+    exact_opt,
     feasible_at,
     generate_adversarial_path,
     generate_general,
@@ -100,6 +101,20 @@ class TestReduce:
         )
         with pytest.raises(ValidationError, match="'wide' is heavy at t=10"):
             reduce_instance(inst, 10, SolveMode.GENERAL, Fraction(4, 7))
+
+    @pytest.mark.parametrize("mode", [SolveMode.GENERAL, SolveMode.TWO_VALUED])
+    def test_beta_outside_the_range_is_refused(self, mode):
+        # under beta 1/3 the three jobs are edges on {a, b}, a multi-cycle
+        # component at t = 12, although OPT is 10
+        inst = build([("a", 0), ("b", 0)], [(j, 5, ["a", "b"]) for j in "efg"])
+        assert exact_opt(inst) == 10
+        with pytest.raises(ValidationError, match=r"beta must lie in \[4/7, 1\), got 1/3"):
+            reduce_instance(inst, 12, mode, Fraction(1, 3))
+
+    def test_general_mode_without_beta_is_refused(self):
+        inst = build([("a", 0), ("b", 0)], [("e", 5, ["a", "b"])])
+        with pytest.raises(ValidationError, match="requires an explicit beta"):
+            reduce_instance(inst, 12, SolveMode.GENERAL)
 
     def test_equal_parallel_pair_drops_movable(self):
         inst = build(
