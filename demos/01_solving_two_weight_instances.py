@@ -9,10 +9,10 @@ tightens to 1 + floor(W/2)/W.
 from fractions import Fraction
 
 from graphbalance import (
-    certified_ratio_bound,
     exact_opt,
     generate_two_valued,
     solve,
+    Regime,
     SolveMode,
 )
 
@@ -40,7 +40,7 @@ for seed in range(50):
     sol = solve(inst)
     opt = exact_opt(inst)
     worst = max(worst, Fraction(sol.makespan, opt))
-bound = certified_ratio_bound(SolveMode.TWO_VALUED, heavy=10, light=3)
+bound = Regime(SolveMode.TWO_VALUED, heavy=10, light=3).bound
 print(f"worst observed ratio: {worst} (= {float(worst):.4f})")
 print(f"theoretical bound   : {bound} -- holds: {worst <= bound}")
 
@@ -49,6 +49,6 @@ for heavy, light in ((11, 3), (15, 7), (20, 2)):
     inst = generate_two_valued(4, 3, 4, heavy, light, 4, seed=7)
     sol = solve(inst)
     opt = exact_opt(inst)
-    bound = certified_ratio_bound(SolveMode.TWO_VALUED, heavy=heavy, light=light)
+    bound = Regime(SolveMode.TWO_VALUED, heavy=heavy, light=light).bound
     print(f"  W={heavy:>2} w={light}: ratio {Fraction(sol.makespan, opt)} "
           f"<= {bound} (= 1 + {heavy // 2}/{heavy})")

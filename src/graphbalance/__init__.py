@@ -5,7 +5,7 @@ comes with a machine-checkable certificate, and a desk-scale exhaustive
 oracle can re-verify both solutions and certificates.
 """
 
-from .driver import Solution, certified_ratio_bound, solve
+from .driver import Solution, solve
 from .errors import (
     GraphBalanceError,
     InvariantViolation,
@@ -20,8 +20,8 @@ from .instance import (
     Instance,
     JobSpec,
     MachineSpec,
+    Regime,
     SolveMode,
-    ValidationReport,
     derive_beta,
     format_fraction,
     generate_adversarial_path,
@@ -63,12 +63,11 @@ __all__ = [
     "OracleBudgetError",
     "OracleTimeout",
     "ParseError",
+    "Regime",
     "RegimeError",
     "Solution",
     "SolveMode",
     "ValidationError",
-    "ValidationReport",
-    "certified_ratio_bound",
     "derive_beta",
     "exact_opt",
     "feasible_at",

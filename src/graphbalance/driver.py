@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolation
 from .general import run_general
-from .instance import Instance, SolveMode, format_fraction, validate
+from .instance import Instance, Regime, SolveMode, format_fraction, validate
 from .matching import run_matching
 from .preprocess import Declaration, GuessContext, reduce_instance
 from .relief import run_relief
@@ -29,9 +29,8 @@ class Solution:
     t_star: int
     lower_bound: int
     ratio_certified: Fraction
+    regime: Regime
     declarations: list[Declaration] = field(default_factory=list)
-    mode: SolveMode = SolveMode.AUTO
-    beta: Fraction | None = None
     cores_invoked: int = 0
     pushes: int = 0
 
@@ -45,32 +44,17 @@ class Solution:
         }
 
 
-def certified_ratio_bound(
-    mode: SolveMode,
-    beta: Fraction | None = None,
-    heavy: int | None = None,
-    light: int | None = None,
-) -> Fraction:
-    """A-priori approximation guarantee for the given mode parameters."""
-    if mode == SolveMode.TWO_VALUED:
-        if heavy is not None and light is not None and heavy >= 2 * light:
-            return 1 + Fraction(heavy // 2, heavy)
-        return Fraction(3, 2)
-    if mode == SolveMode.GENERAL:
-        if beta is None:
-            raise ValueError("general mode bound needs beta")
-        return Fraction(5, 3) + beta / 3
-    raise ValueError("resolve the mode before asking for its bound")
-
-
 def _dispatch(ctx: GuessContext, trace):
-    """The regime's core on *ctx*: ``(assignment or declaration, pushes)``."""
-    if ctx.mode == SolveMode.GENERAL:
+    """The regime's core on *ctx*: ``(assignment or declaration, pushes)``.
+
+    Each core is read as a module global at call time, so a wrapper set on
+    this module sees every call."""
+    core = ctx.regime.core_at(ctx.t)
+    if core == "general":
         return run_general(ctx, trace=trace)
-    heavy, light = ctx.heavy_weight, ctx.light_weight
-    if heavy is not None and ctx.t >= 2 * heavy:
+    if core == "relief":
         return run_relief(ctx)
-    if light is not None and ctx.t < 2 * light:
+    if core == "matching":
         return run_matching(ctx)
     return run_two_valued(ctx, trace=trace)
 
@@ -87,12 +71,7 @@ def solve(
     the strongest proven lower bound (the largest declared guess plus one, or
     the initial bound when nothing was declared).
     """
-    report = validate(instance, mode, beta).raise_if_invalid()
-    mode = report.mode
-    beta = report.beta
-    bound = certified_ratio_bound(
-        mode, beta, report.heavy_weight, report.light_weight
-    )
+    regime = validate(instance, mode, beta)
 
     lo = oracle.trivial_lower_bound(instance)
 
@@ -110,7 +89,7 @@ def solve(
             if trace is not None:
                 trace.extend({"t": t, "stage": stage, **event} for event in events)
 
-        reduced = reduce_instance(instance, t, mode, beta, memo)
+        reduced = reduce_instance(instance, t, regime.mode, regime.beta, memo)
         if isinstance(reduced, Declaration):
             declarations.append(reduced)
             emit("reduce", [{"op": "declare", "kind": reduced.kind}])
@@ -129,9 +108,9 @@ def solve(
         valid, makespan = oracle.verify_solution(instance, full)
         if not valid:
             raise InvariantViolation(f"core produced an invalid assignment at t={t}")
-        if Fraction(makespan) > bound * t:
+        if Fraction(makespan) > regime.bound * t:
             raise InvariantViolation(
-                f"makespan {makespan} exceeds {format_fraction(bound)} * {t}"
+                f"makespan {makespan} exceeds {format_fraction(regime.bound)} * {t}"
             )
         emit("search", [{"outcome": "accepted", "makespan": makespan}])
         return full, makespan
@@ -167,9 +146,8 @@ def solve(
         t_star=t_star,
         lower_bound=lower_bound,
         ratio_certified=ratio,
+        regime=regime,
         declarations=declarations,
-        mode=mode,
-        beta=beta,
         cores_invoked=invocations,
         pushes=pushes,
     )

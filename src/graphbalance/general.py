@@ -506,9 +506,9 @@ def run_general(
     A push that provably leaves the labeling as it was keeps it (see
     ``_keeps_labels``) and writes its explore's trace events again; every
     other push restarts ``explore`` from a fresh orientation."""
-    if ctx.mode.value != "general":
+    if ctx.regime.core_at(ctx.t) != "general":
         raise RegimeError("general core requires a general-mode context")
-    th = ThresholdsG.make(ctx.t, ctx.beta)
+    th = ThresholdsG.make(ctx.t, ctx.regime.beta)
     state = PushState(ctx)
     reach: dict[str, int] | None = None  # built at the first push
 

@@ -254,21 +254,6 @@ def serialize_instance(instance: Instance) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    mode: SolveMode
-    violations: list[str]
-    heavy_weight: int | None = None
-    light_weight: int | None = None
-    beta: Fraction | None = None
-
-    def raise_if_invalid(self) -> "ValidationReport":
-        if not self.ok:
-            raise ValidationError(self.violations)
-        return self
-
-
 def check_beta(beta: Fraction | None) -> Fraction:
     if beta is None:
         raise ValidationError(["general mode requires an explicit beta fraction"])
@@ -281,7 +266,82 @@ def check_beta(beta: Fraction | None) -> Fraction:
     return beta
 
 
-def _two_valued_weights(instance: Instance) -> tuple[list[int], list[str]]:
+@dataclass(frozen=True)
+class Regime:
+    """The paper's regime of one solve, and every decision that reads it:
+    the resolved ``mode``, the threshold ``beta`` (always set in general
+    mode) and, in two-valued mode, the multi-machine weights ``heavy`` W
+    and ``light`` w, ``None`` when there are none."""
+
+    mode: SolveMode
+    beta: Fraction | None = None
+    heavy: int | None = None
+    light: int | None = None
+
+    @classmethod
+    def of(cls, instance: Instance, mode: SolveMode, beta: Fraction | None = None) -> "Regime":
+        """The regime of solving *instance* in *mode*: in two-valued mode W
+        and w are the largest and least multi-machine weights."""
+        if mode == SolveMode.AUTO:
+            raise ValueError("resolve the mode (two_valued or general) first")
+        if beta is not None or mode == SolveMode.GENERAL:
+            check_beta(beta)
+        if mode == SolveMode.TWO_VALUED:
+            weights = [j.weight for j in instance.jobs if len(j.eligible) >= 2]
+            if weights:
+                return cls(mode, beta, max(weights), min(weights))
+        return cls(mode, beta)
+
+    @property
+    def improved(self) -> bool:
+        """Whether W >= 2w: the two-valued bound and thresholds tighten."""
+        return self.heavy is not None and self.heavy >= 2 * self.light
+
+    @property
+    def bound(self) -> Fraction:
+        """A-priori approximation guarantee: 5/3 + beta/3 in general mode;
+        1 + floor(W/2)/W when W >= 2w, else 3/2, in two-valued mode."""
+        if self.mode == SolveMode.GENERAL:
+            return Fraction(5, 3) + self.beta / 3
+        if self.improved:
+            return 1 + Fraction(self.heavy // 2, self.heavy)
+        return Fraction(3, 2)
+
+    def core_at(self, t: int) -> str:
+        """The core that decides guess *t*: ``general`` in general mode,
+        else ``relief`` when t >= 2W, ``matching`` when t < 2w, and
+        ``two_valued`` otherwise."""
+        if self.mode == SolveMode.GENERAL:
+            return "general"
+        if self.heavy is not None:
+            if t >= 2 * self.heavy:
+                return "relief"
+            if t < 2 * self.light:
+                return "matching"
+        return "two_valued"
+
+    def edge_floor(self, t: int) -> int:
+        """The integer a multi-machine job's weight must exceed to be an edge
+        job at guess *t*: ``max(floor(t/2), W-1)`` in two-valued mode, so
+        only heavy jobs above t/2 qualify, and ``floor(beta*t)`` in general
+        mode.  Weights are integers, so ``w > x`` iff ``w > floor(x)``."""
+        if self.mode == SolveMode.TWO_VALUED:
+            return max(t // 2, (self.heavy or 0) - 1)
+        return floor_times(self.beta, t)
+
+    @property
+    def fields(self) -> dict:
+        """The mode fields every declaration ends with: ``mode``, ``beta``
+        as ``p/q`` when set, then ``W`` and ``w`` when set."""
+        fields: dict = {"mode": self.mode.value}
+        if self.beta is not None:
+            fields["beta"] = format_fraction(self.beta)
+        if self.heavy is not None:
+            fields.update(W=self.heavy, w=self.light)
+        return fields
+
+
+def _two_valued_violations(instance: Instance) -> list[str]:
     multi = [j for j in instance.jobs if len(j.eligible) >= 2]
     weights = sorted({j.weight for j in multi})
     violations = []
@@ -290,7 +350,7 @@ def _two_valued_weights(instance: Instance) -> tuple[list[int], list[str]]:
             "two_valued mode requires exactly two distinct weights among "
             f"multi-machine jobs, found {len(weights)}: {weights}"
         )
-        return weights, violations
+        return violations
     heavy = weights[1]
     for j in multi:
         if j.weight == heavy and len(j.eligible) > 2:
@@ -298,7 +358,7 @@ def _two_valued_weights(instance: Instance) -> tuple[list[int], list[str]]:
                 f"job {j.id!r} has the heavy weight {heavy} but is eligible on "
                 f"{len(j.eligible)} machines (at most 2 allowed)"
             )
-    return weights, violations
+    return violations
 
 
 def derive_beta(instance: Instance) -> Fraction:
@@ -327,33 +387,29 @@ def derive_beta(instance: Instance) -> Fraction:
 
 def validate(
     instance: Instance, mode: SolveMode, beta: Fraction | None = None
-) -> ValidationReport:
-    """Check the instance against the structural assumptions of *mode*.
+) -> Regime:
+    """Check the instance against the structural assumptions of *mode* and
+    return the solve's :class:`Regime`, or raise :class:`ValidationError`
+    listing every violation.
 
     ``auto`` resolves to ``two_valued`` when exactly two multi-machine weights
     exist and every heavier job is restricted to two machines, otherwise to
     ``general`` (deriving the smallest admissible beta if none is given).
     A beta outside [4/7, 1) raises :class:`ValidationError` immediately,
-    whatever mode it resolves to.
+    whatever mode it resolves to; two-valued mode drops it.
     """
     if beta is not None:
         check_beta(beta)
     if mode == SolveMode.AUTO:
-        weights, violations = _two_valued_weights(instance)
-        if not violations:
-            return ValidationReport(
-                True, SolveMode.TWO_VALUED, [], weights[1], weights[0]
-            )
+        if not _two_valued_violations(instance):
+            return Regime.of(instance, SolveMode.TWO_VALUED)
         effective = beta if beta is not None else derive_beta(instance)
         return validate(instance, SolveMode.GENERAL, effective)
 
     if mode == SolveMode.TWO_VALUED:
-        weights, violations = _two_valued_weights(instance)
-        heavy = weights[-1] if len(weights) == 2 else None
-        light = weights[0] if len(weights) == 2 else None
-        return ValidationReport(not violations, mode, violations, heavy, light)
-
-    if mode == SolveMode.GENERAL:
+        violations = _two_valued_violations(instance)
+        beta = None
+    elif mode == SolveMode.GENERAL:
         beta = check_beta(beta)
         w_max = instance.max_weight()
         light_max = floor_times(beta, w_max)
@@ -365,9 +421,11 @@ def validate(
                     f"{format_fraction(beta * w_max)}) is eligible on "
                     f"{len(j.eligible)} machines (at most 2 allowed)"
                 )
-        return ValidationReport(not violations, mode, violations, beta=beta)
-
-    raise ValueError(f"unknown mode {mode!r}")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if violations:
+        raise ValidationError(violations)
+    return Regime.of(instance, mode, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,7 @@ from .errors import (
     RegimeError,
     ValidationError,
 )
-from .instance import (
-    Instance,
-    JobSpec,
-    SolveMode,
-    check_beta,
-    floor_times,
-    format_fraction,
-)
+from .instance import Instance, JobSpec, Regime, SolveMode
 
 DEDICATED_OVERFLOW = "dedicated_overflow"
 MULTI_CYCLE_COMPONENT = "multi_cycle_component"
@@ -303,17 +296,11 @@ class GuessContext:
 
     instance: Instance
     t: int
-    mode: SolveMode
-    beta: Fraction | None
-    heavy_weight: int | None
-    light_weight: int | None
+    regime: Regime
     dedicated: dict[str, int]
     movables: tuple[MovableJob, ...]
     graph: EdgeGraph
     forced: tuple[tuple[str, str], ...]
-    # the solve parameters a verifier needs to rebuild the guess's graph,
-    # built once per solve: every declaration ends with them
-    mode_fields: dict
     twins: tuple[TwinFold, ...] = field(default=())
     # what a core builds once for this reduced state (relief's flow
     # network); contexts of one memoised edge set share it
@@ -394,8 +381,8 @@ class GuessContext:
 
     def declare(self, kind: str, **fields) -> Declaration:
         """Declare this guess infeasible: a *kind* witness of the core's
-        *fields*, then the mode fields."""
-        return Declaration(self.t, kind, {**fields, **self.mode_fields})
+        *fields*, then the regime's mode fields."""
+        return Declaration(self.t, kind, {**fields, **self.regime.fields})
 
 
 @dataclass
@@ -405,17 +392,13 @@ class _SolveBasis:
     weights sorted ascending."""
 
     instance: Instance
-    mode: SolveMode
-    beta: Fraction | None
-    heavy_weight: int | None
-    light_weight: int | None
+    regime: Regime
     multi: tuple[JobSpec, ...]
     weights: list[int]
     max_weight: int
     dedicated: dict[str, int]
     peak: int
     forced: tuple[tuple[str, str], ...]
-    mode_fields: dict
 
 
 @dataclass
@@ -439,8 +422,7 @@ _BASIS = "basis"
 def _solve_basis(
     instance: Instance, mode: SolveMode, beta: Fraction | None
 ) -> _SolveBasis:
-    if beta is not None or mode == SolveMode.GENERAL:
-        check_beta(beta)
+    regime = Regime.of(instance, mode, beta)
     dedicated = {m.id: m.dedicated_load for m in instance.machines}
     forced: list[tuple[str, str]] = []
     multi: list[JobSpec] = []
@@ -451,40 +433,16 @@ def _solve_basis(
             forced.append((job.id, only))
         else:
             multi.append(job)
-    weights = sorted(job.weight for job in multi)
-    heavy_weight = light_weight = None
-    mode_fields: dict = {"mode": mode.value}
-    if beta is not None:
-        mode_fields["beta"] = format_fraction(beta)
-    if mode == SolveMode.TWO_VALUED and weights:
-        heavy_weight, light_weight = weights[-1], weights[0]
-        mode_fields.update(W=heavy_weight, w=light_weight)
     return _SolveBasis(
         instance=instance,
-        mode=mode,
-        beta=beta,
-        heavy_weight=heavy_weight,
-        light_weight=light_weight,
+        regime=regime,
         multi=tuple(multi),
-        weights=weights,
+        weights=sorted(job.weight for job in multi),
         max_weight=instance.max_weight(),
         dedicated=dedicated,
         peak=max(dedicated.values(), default=0),
         forced=tuple(forced),
-        mode_fields=mode_fields,
     )
-
-
-def _edge_floor(basis: _SolveBasis, t: int) -> int:
-    """The integer a multi-machine job's weight must exceed to be an edge job.
-
-    Two-valued: ``max(floor(t/2), W-1)`` with W the heavy weight, so only
-    heavy jobs above t/2 qualify.  General: ``floor(beta*t)``.  Weights are
-    integers, so ``w > x`` iff ``w > floor(x)``.
-    """
-    if basis.mode == SolveMode.TWO_VALUED:
-        return max(t // 2, (basis.heavy_weight or 0) - 1)
-    return floor_times(basis.beta, t)
 
 
 def _reduce_edge_set(basis: _SolveBasis, t: int, floor: int) -> _EdgeSetReduction:
@@ -578,15 +536,11 @@ def _reduce_edge_set(basis: _SolveBasis, t: int, floor: int) -> _EdgeSetReductio
     context = GuessContext(
         instance=instance,
         t=t,
-        mode=basis.mode,
-        beta=basis.beta,
-        heavy_weight=basis.heavy_weight,
-        light_weight=basis.light_weight,
+        regime=basis.regime,
         dedicated=dedicated,
         movables=tuple(movables),
         graph=graph,
         forced=tuple(forced),
-        mode_fields=basis.mode_fields,
         twins=tuple(twins),
     )
     return _EdgeSetReduction(checkpoints, context=context)
@@ -597,7 +551,7 @@ def _overflow(basis: _SolveBasis, t: int, loads: dict[str, int]) -> Declaration:
     return Declaration(
         t,
         DEDICATED_OVERFLOW,
-        {"machine": machine, "dedicated": loads[machine], **basis.mode_fields},
+        {"machine": machine, "dedicated": loads[machine], **basis.regime.fields},
     )
 
 
@@ -621,17 +575,21 @@ def reduce_instance(
     solve passes one *memo* dict to all its guesses: singles are folded
     once, and each edge set is reduced once.  Contexts of one edge set share
     their dedicated loads, movables, graph and fold records; cores must not
-    mutate them.  A beta outside [4/7, 1), or none in general mode, raises
-    :class:`ValidationError` as :func:`validate` does.
+    mutate them.  The guesses of one solve share one :class:`Regime`, built
+    as :func:`validate` builds it: ``auto`` mode raises ``ValueError``, and
+    a beta outside [4/7, 1), or none in general mode, raises
+    :class:`ValidationError`.
     """
-    if mode == SolveMode.AUTO:
-        raise ValueError("reduce requires a resolved mode (two_valued or general)")
     if memo is None:
         memo = {}
     basis = memo.get(_BASIS)
     if basis is None:
         basis = memo[_BASIS] = _solve_basis(instance, mode, beta)
-    elif basis.instance is not instance or basis.mode != mode or basis.beta != beta:
+    elif (
+        basis.instance is not instance
+        or basis.regime.mode != mode
+        or basis.regime.beta != beta
+    ):
         raise ValueError("the memo belongs to another instance, mode or beta")
     if t < basis.max_weight:
         raise RegimeError(
@@ -640,7 +598,7 @@ def reduce_instance(
 
     if basis.peak > t:
         return _overflow(basis, t, basis.dedicated)
-    floor = _edge_floor(basis, t)
+    floor = basis.regime.edge_floor(t)
     # edge sets are suffixes of the sorted weights: key one by its length
     key = bisect_right(basis.weights, floor)
     entry = memo.get(key)
@@ -657,7 +615,7 @@ def reduce_instance(
             {
                 "nodes": list(comp.nodes),
                 "edges": [e.id for e in comp.edges],
-                **basis.mode_fields,
+                **basis.regime.fields,
             },
         )
     return replace(entry.context, t=t)

@@ -181,7 +181,7 @@ def _target_accepts(state: TwoValuedState, v: str) -> bool:
     i = state.comp_index[v]
     if state.stuck[i]:
         return False
-    bumped = classify_node(v, state, extra=state.ctx.light_weight or 0)
+    bumped = classify_node(v, state, extra=state.ctx.regime.light or 0)
     hot = [state.classes[x] for x in state.hot[i] if x != v]
     if bumped >= NodeClass.TIGHT:
         hot.append(bumped)
@@ -218,13 +218,13 @@ def run_two_valued(
     """
     if not ctx.movables and not ctx.graph.edges:
         return {}, 0
-    heavy, light = ctx.heavy_weight, ctx.light_weight
+    heavy, light = ctx.regime.heavy, ctx.regime.light
     if heavy is None:
         raise RegimeError("two-valued core needs the heavy/light weights")
     t = ctx.t
     if t >= 2 * heavy:
         raise RegimeError(f"t={t} >= 2*{heavy}: use the relief core")
-    if heavy >= 2 * light:
+    if ctx.regime.improved:
         thresholds = Thresholds.improved(t, heavy, light)
     else:
         if ctx.movables and t < 2 * light:

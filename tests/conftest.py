@@ -13,7 +13,15 @@ from fractions import Fraction
 
 import pytest
 
-from graphbalance import Instance, JobSpec, MachineSpec, SolveMode, verify_certificate
+from graphbalance import (
+    Instance,
+    JobSpec,
+    MachineSpec,
+    SolveMode,
+    ValidationError,
+    validate,
+    verify_certificate,
+)
 
 
 def build(machines, jobs, hint=SolveMode.AUTO) -> Instance:
@@ -45,7 +53,16 @@ def reduced_instance(ctx) -> Instance:
     machines = tuple(MachineSpec(v, ctx.dedicated[v]) for v in ctx.machine_ids)
     jobs = [JobSpec(p.id, p.weight, p.eligible) for p in ctx.movables]
     jobs += [JobSpec(e.id, e.weight, frozenset((e.u, e.v))) for e in ctx.graph.edges]
-    return Instance(machines, tuple(jobs), ctx.mode)
+    return Instance(machines, tuple(jobs), ctx.regime.mode)
+
+
+def regime_or_none(instance, mode, beta=None):
+    """The regime :func:`validate` returns, or ``None`` where it raises
+    :class:`ValidationError`: a filter for seeded families."""
+    try:
+        return validate(instance, mode, beta)
+    except ValidationError:
+        return None
 
 
 def hash_declarations(digest, instance, solution) -> None:

@@ -30,7 +30,13 @@ from graphbalance.general import Orientation, ThresholdsG, explore, forced_orien
 from graphbalance.matching import run_matching
 from graphbalance.push import PushState
 
-from conftest import loaded_general, loaded_two_valued, reduced_instance, unit_regime
+from conftest import (
+    loaded_general,
+    loaded_two_valued,
+    reduced_instance,
+    regime_or_none,
+    unit_regime,
+)
 from test_preprocess import enumerate_min_into
 
 BETAS = (Fraction(4, 7), Fraction(2, 3), Fraction(7, 10), Fraction(9, 10))
@@ -53,8 +59,6 @@ def _two_valued_params(seed: int, improved: bool):
 @pytest.fixture(scope="module")
 def two_valued_suite():
     """Criterion 1 corpus: 300 solved instances with their exact optima."""
-    from graphbalance import validate
-
     started = time.perf_counter()
     results = []
     for seed in range(200):
@@ -66,7 +70,7 @@ def two_valued_suite():
     while collected < 100:  # dedicated loads and single-machine jobs
         inst, heavy, light = loaded_two_valued(seed)
         seed += 1
-        if not validate(inst, SolveMode.TWO_VALUED).ok:
+        if regime_or_none(inst, SolveMode.TWO_VALUED) is None:
             continue  # all lights ended single-machine: out of this class
         results.append((inst, solve(inst), exact_opt(inst)))
         collected += 1

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from graphbalance import (
+    Regime,
     SolveMode,
     ValidationError,
-    certified_ratio_bound,
     exact_opt,
     feasible_at,
     generate_general,
@@ -24,20 +24,6 @@ from graphbalance import (
 from graphbalance import driver, oracle
 
 from conftest import build, loaded_general, loaded_two_valued
-
-
-class TestRatioBound:
-    def test_two_valued_default(self):
-        assert certified_ratio_bound(SolveMode.TWO_VALUED, heavy=10, light=6) == Fraction(3, 2)
-
-    def test_two_valued_improved(self):
-        assert certified_ratio_bound(SolveMode.TWO_VALUED, heavy=10, light=5) == Fraction(3, 2)
-        assert certified_ratio_bound(SolveMode.TWO_VALUED, heavy=10, light=3) == Fraction(3, 2)
-        assert certified_ratio_bound(SolveMode.TWO_VALUED, heavy=11, light=3) == 1 + Fraction(5, 11)
-
-    def test_general(self):
-        assert certified_ratio_bound(SolveMode.GENERAL, Fraction(7, 10)) == Fraction(19, 10)
-        assert certified_ratio_bound(SolveMode.GENERAL, Fraction(4, 7)) == Fraction(5, 3) + Fraction(4, 21)
 
 
 class TestSolveBasics:
@@ -109,14 +95,11 @@ class TestGuarantees:
     @pytest.mark.parametrize("seed", range(60))
     def test_loaded_instances_auto_mode(self, seed):
         inst, _, _ = loaded_two_valued(seed)
-        report = validate(inst, SolveMode.AUTO)
-        bound = certified_ratio_bound(
-            report.mode, report.beta, report.heavy_weight, report.light_weight
-        )
+        regime = validate(inst, SolveMode.AUTO)
         sol = solve(inst)  # auto resolves per instance shape
         opt = exact_opt(inst)
-        assert sol.mode == report.mode
-        assert Fraction(sol.makespan) <= bound * opt
+        assert sol.regime == regime
+        assert Fraction(sol.makespan) <= regime.bound * opt
         assert sol.lower_bound <= opt
         valid, makespan = verify_solution(inst, sol.assignment)
         assert valid and makespan == sol.makespan
@@ -216,12 +199,9 @@ class TestSearchBookkeeping:
     def test_makespan_within_bound_times_t_star(self):
         for seed in range(40):
             inst, _, _ = loaded_two_valued(seed)
-            report = validate(inst, SolveMode.AUTO)
-            bound = certified_ratio_bound(
-                report.mode, report.beta, report.heavy_weight, report.light_weight
-            )
+            regime = validate(inst, SolveMode.AUTO)
             sol = solve(inst)
-            assert Fraction(sol.makespan) <= bound * sol.t_star
+            assert Fraction(sol.makespan) <= regime.bound * sol.t_star
 
 
 class TestDispatch:
@@ -244,7 +224,7 @@ class TestDispatch:
         beta = Fraction(7, 10) if mode == SolveMode.GENERAL else None
         ctx = reduce_instance(inst, t, mode, beta)
         if weights is not None:
-            ctx = replace(ctx, heavy_weight=weights[0], light_weight=weights[1])
+            ctx = replace(ctx, regime=Regime(mode, beta, *weights))
         called = []
         original = getattr(driver, core)
 

@@ -510,7 +510,7 @@ def keep_refusals(ctx, state, move, before):
     level l+1 is lost, the target ends overloaded, the source leaves the
     overload set after the initial cascade, or a forced-cascade scan of
     either machine finds other violators at its new load."""
-    th = ThresholdsG.make(ctx.t, ctx.beta)
+    th = ThresholdsG.make(ctx.t, ctx.regime.beta)
     bound = th.overload_bound
     u, v = move.source, move.target
     p = state.movable[move.movable_id]
@@ -567,8 +567,8 @@ class TestKeptLabels:
         real_push, real_find = general.push, general.find_push_general
 
         for ctx in list(contexts):  # solve() runs unpatched
-            th = ThresholdsG.make(ctx.t, ctx.beta)
-            exact = exact_thresholds(ctx.t, ctx.beta)
+            th = ThresholdsG.make(ctx.t, ctx.regime.beta)
+            exact = exact_thresholds(ctx.t, ctx.regime.beta)
             searched = []  # the labeling each push search ran on
 
             def find(ctx_, state, result, th_):

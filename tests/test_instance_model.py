@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphbalance import (
     ParseError,
+    Regime,
     SolveMode,
     ValidationError,
     derive_beta,
@@ -167,16 +168,17 @@ class TestValidation:
             [("a", 0), ("b", 0), ("c", 0)],
             [("h", 7, ["a", "b"]), ("l", 3, ["a", "b", "c"])],
         )
-        report = validate(inst, SolveMode.TWO_VALUED)
-        assert report.ok and (report.heavy_weight, report.light_weight) == (7, 3)
+        regime = validate(inst, SolveMode.TWO_VALUED)
+        assert regime == Regime(SolveMode.TWO_VALUED, None, 7, 3)
 
     def test_heavy_on_three_machines_violates(self):
         inst = build(
             [("a", 0), ("b", 0), ("c", 0)],
             [("h", 7, ["a", "b", "c"]), ("l", 3, ["a", "b"])],
         )
-        report = validate(inst, SolveMode.TWO_VALUED)
-        assert not report.ok and "heavy weight" in report.violations[0]
+        with pytest.raises(ValidationError) as raised:
+            validate(inst, SolveMode.TWO_VALUED)
+        assert "heavy weight" in raised.value.violations[0]
 
     def test_general_boundary_is_exclusive(self):
         # beta*W_max = 70: weight 71 on three machines violates, 70 does not
@@ -184,8 +186,10 @@ class TestValidation:
         pin = ("pin", 100, ["a", "b"])
         bad = build(base, [pin, ("x", 71, ["a", "b", "c"])])
         good = build(base, [pin, ("y", 70, ["a", "b", "c"])])
-        assert not validate(bad, SolveMode.GENERAL, Fraction(7, 10)).ok
-        assert validate(good, SolveMode.GENERAL, Fraction(7, 10)).ok
+        with pytest.raises(ValidationError):
+            validate(bad, SolveMode.GENERAL, Fraction(7, 10))
+        regime = validate(good, SolveMode.GENERAL, Fraction(7, 10))
+        assert regime == Regime(SolveMode.GENERAL, Fraction(7, 10))
 
     def test_beta_range_error(self):
         inst = build([("a", 0), ("b", 0)], [("j", 5, ["a", "b"])])
@@ -219,8 +223,8 @@ class TestValidation:
         )
         assert validate(two, SolveMode.AUTO).mode == SolveMode.TWO_VALUED
         single = build([("a", 0), ("b", 0)], [("j", 7, ["a", "b"])])
-        report = validate(single, SolveMode.AUTO)
-        assert report.mode == SolveMode.GENERAL and report.beta == Fraction(4, 7)
+        regime = validate(single, SolveMode.AUTO)
+        assert regime.mode == SolveMode.GENERAL and regime.beta == Fraction(4, 7)
 
     def test_derive_beta_scales_with_wide_jobs(self):
         inst = build(
@@ -258,13 +262,14 @@ class TestGenerators:
     @pytest.mark.parametrize("seed", range(100))
     def test_two_valued_always_validates(self, seed):
         inst = generate_two_valued(5, 3, 4, 12, 5, 4, seed=seed)
-        assert validate(inst, SolveMode.TWO_VALUED).ok
+        regime = validate(inst, SolveMode.TWO_VALUED)
+        assert regime == Regime(SolveMode.TWO_VALUED, None, 12, 5)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_general_always_validates(self, seed):
         beta = Fraction(7, 10)
         inst = generate_general(5, 7, beta, 20, seed=seed)
-        assert validate(inst, SolveMode.GENERAL, beta).ok
+        assert validate(inst, SolveMode.GENERAL, beta) == Regime(SolveMode.GENERAL, beta)
 
     def test_general_weight_ranges(self):
         beta = Fraction(7, 10)

@@ -24,7 +24,6 @@ from graphbalance import (
     generate_two_valued,
     min_edge_load_into,
     reduce_instance,
-    validate,
 )
 from graphbalance.general import run_general
 from graphbalance.matching import run_matching
@@ -38,7 +37,13 @@ from graphbalance.preprocess import (
 from graphbalance.relief import run_relief
 from graphbalance.two_valued import run_two_valued
 
-from conftest import build, loaded_general, loaded_two_valued, reduced_instance
+from conftest import (
+    build,
+    loaded_general,
+    loaded_two_valued,
+    reduced_instance,
+    regime_or_none,
+)
 
 
 def enumerate_min_into(graph: EdgeGraph, subset) -> int | None:
@@ -381,7 +386,7 @@ def memo_corpus():
     """Seeded two-valued and general instances with their mode and beta."""
     for seed in range(60):
         inst, _, _ = loaded_two_valued(seed)
-        if validate(inst, SolveMode.TWO_VALUED).ok:
+        if regime_or_none(inst, SolveMode.TWO_VALUED) is not None:
             yield inst, SolveMode.TWO_VALUED, None
     for seed in range(60):
         beta = (Fraction(4, 7), Fraction(7, 10), Fraction(9, 10))[seed % 3]
@@ -405,8 +410,8 @@ def reduction_view(reduced):
     return (
         "context",
         reduced.t,
-        reduced.heavy_weight,
-        reduced.light_weight,
+        reduced.regime.heavy,
+        reduced.regime.light,
         reduced.dedicated,
         reduced.movables,
         reduced.graph.nodes,

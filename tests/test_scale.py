@@ -16,7 +16,6 @@ from graphbalance import (
     JobSpec,
     MachineSpec,
     SolveMode,
-    certified_ratio_bound,
     generate_general,
     generate_two_valued,
     solve,
@@ -36,15 +35,11 @@ TWO_VALUED_SHAPES = {
 
 
 def check_at_scale(inst, mode=SolveMode.AUTO, beta=None):
-    report = validate(inst, mode, beta)
-    assert report.ok
+    regime = validate(inst, mode, beta)
     solution = solve(inst, mode, beta)
     valid, makespan = verify_solution(inst, solution.assignment)
     assert valid and makespan == solution.makespan
-    bound = certified_ratio_bound(
-        report.mode, report.beta, report.heavy_weight, report.light_weight
-    )
-    assert makespan <= bound * solution.lower_bound
+    assert makespan <= regime.bound * solution.lower_bound
     for declaration in solution.declarations:
         assert verify_certificate(inst, declaration, allow_exhaustive=False) == "confirmed"
     again = solve(inst, mode, beta)

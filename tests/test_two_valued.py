@@ -11,12 +11,12 @@ import pytest
 
 from graphbalance import (
     Declaration,
+    Regime,
     SolveMode,
     feasible_at,
     generate_two_valued,
     reduce_instance,
     solve,
-    validate,
     verify_solution,
 )
 from graphbalance.push import PushMove, PushState, potential_value, push
@@ -30,7 +30,13 @@ from graphbalance.two_valued import (
     run_two_valued,
 )
 
-from conftest import assert_push_events, build, hash_declarations, loaded_two_valued
+from conftest import (
+    assert_push_events,
+    build,
+    hash_declarations,
+    loaded_two_valued,
+    regime_or_none,
+)
 
 
 def exact_thresholds(t, heavy, light, variant):
@@ -122,7 +128,7 @@ def rescanning_accepts(state, th, v):
     comp = state.components[state.comp_index[v]]
     if rescanning_stuck(comp, classes):
         return False
-    bumped = rescanning_classes(state, th, extra=(v, state.ctx.light_weight))
+    bumped = rescanning_classes(state, th, extra=(v, state.ctx.regime.light))
     return not rescanning_stuck(comp, bumped)
 
 
@@ -143,7 +149,7 @@ def make_state(machines, jobs, t, placement=None, variant="standard"):
     ctx = reduce_instance(inst, t, SolveMode.TWO_VALUED)
     assert not isinstance(ctx, Declaration)
     factory = Thresholds.standard if variant == "standard" else Thresholds.improved
-    thresholds = factory(t, ctx.heavy_weight, ctx.light_weight)
+    thresholds = factory(t, ctx.regime.heavy, ctx.regime.light)
     return TwoValuedState(ctx, thresholds, placement)
 
 
@@ -250,10 +256,10 @@ class TestExplore:
     def test_rerun_is_identical(self):
         for seed in range(30):
             inst, _, _ = loaded_two_valued(seed)
-            report = validate(inst, SolveMode.TWO_VALUED)
-            if not report.ok:
+            regime = regime_or_none(inst, SolveMode.TWO_VALUED)
+            if regime is None:
                 continue
-            heavy, light = report.heavy_weight, report.light_weight
+            heavy, light = regime.heavy, regime.light
             t = max(inst.max_weight(), 2 * light)
             if not (2 * light <= t < 2 * heavy):
                 continue
@@ -353,7 +359,9 @@ class TestRunCore:
             [("l1", 2, ["a", "b"]), ("l2", 2, ["a", "b"])],
         )
         ctx = reduce_instance(inst, 10, SolveMode.GENERAL, Fraction(4, 7))
-        ctx = replace(ctx, mode=SolveMode.TWO_VALUED, heavy_weight=6, light_weight=2)
+        ctx = replace(ctx, regime=Regime(SolveMode.TWO_VALUED, None, 6, 2))
+        # a declaration from the replaced context names the replaced regime
+        assert ctx.declare("activated_set").payload == {"mode": "two_valued", "W": 6, "w": 2}
         result, _ = run_two_valued(ctx)
         assert not isinstance(result, Declaration)
         valid, makespan = verify_solution(inst, ctx.expand(result))
@@ -370,10 +378,10 @@ class TestRunCore:
     @pytest.mark.parametrize("seed", range(150))
     def test_random_runs_sound_and_bounded(self, seed):
         inst, _, _ = loaded_two_valued(seed)
-        report = validate(inst, SolveMode.TWO_VALUED)
-        if not report.ok:
+        regime = regime_or_none(inst, SolveMode.TWO_VALUED)
+        if regime is None:
             return  # all lights ended single-machine: not a two-weight instance
-        heavy, light = report.heavy_weight, report.light_weight
+        heavy, light = regime.heavy, regime.light
         in_regime = range(max(inst.max_weight(), 2 * light), 2 * heavy)
         for t in list(in_regime)[:4]:
             ctx = reduce_instance(inst, t, SolveMode.TWO_VALUED)
@@ -399,10 +407,10 @@ class TestRunCore:
         seen = set()
         for seed in range(150):
             inst, _, _ = loaded_two_valued(seed)
-            report = validate(inst, SolveMode.TWO_VALUED)
-            if not report.ok:
+            regime = regime_or_none(inst, SolveMode.TWO_VALUED)
+            if regime is None:
                 continue
-            heavy, light = report.heavy_weight, report.light_weight
+            heavy, light = regime.heavy, regime.light
             for t in range(max(inst.max_weight(), 2 * light), 2 * heavy):
                 ctx = reduce_instance(inst, t, SolveMode.TWO_VALUED)
                 if isinstance(ctx, Declaration):
@@ -441,17 +449,17 @@ def seeded_contexts():
 
     def in_regime(inst, seed):
         rng = random.Random(seed)
-        report = validate(inst, SolveMode.TWO_VALUED)
-        if not report.ok:
+        regime = regime_or_none(inst, SolveMode.TWO_VALUED)
+        if regime is None:
             return None
-        heavy, light = report.heavy_weight, report.light_weight
+        heavy, light = regime.heavy, regime.light
         guesses = range(max(inst.max_weight(), 2 * light), 2 * heavy)
         if not guesses:
             return None
         ctx = reduce_instance(inst, rng.choice(guesses), SolveMode.TWO_VALUED)
         if isinstance(ctx, Declaration) or not ctx.movables:
             return None
-        improved = ctx.heavy_weight >= 2 * ctx.light_weight and rng.random() < 0.5
+        improved = heavy >= 2 * light and rng.random() < 0.5
         return ctx, "improved" if improved else "standard", rng
 
     found = seed = 0
@@ -485,7 +493,7 @@ class TestAgainstRescanningReference:
         for ctx, variant, rng in seeded_contexts():
             contexts += 1
             factory = Thresholds.standard if variant == "standard" else Thresholds.improved
-            heavy, light = ctx.heavy_weight, ctx.light_weight
+            heavy, light = ctx.regime.heavy, ctx.regime.light
             placement = {p.id: rng.choice(ctx.instance.sorted_eligible(p)) for p in ctx.movables}
             state = TwoValuedState(ctx, factory(ctx.t, heavy, light), placement)
             exact = exact_thresholds(ctx.t, heavy, light, variant)
@@ -531,7 +539,7 @@ GOLDEN_TRACES_SHA256 = "b372f64a27f1fb550f600eac60260ceb212caa460dd58e3770547c80
 def golden_corpus():
     for seed in range(200):
         inst, _, _ = loaded_two_valued(seed)
-        if validate(inst, SolveMode.TWO_VALUED).ok:
+        if regime_or_none(inst, SolveMode.TWO_VALUED) is not None:
             yield inst
     for seed in range(60):
         m = (10, 20, 40, 60, 80)[seed % 5]
