@@ -1,10 +1,12 @@
-"""Binary search over the guessed makespan, regime dispatch, and reporting.
+"""Search over the guessed makespan, regime dispatch, and reporting.
 
 The search bracket keeps every guess below the current low end declared
 infeasible (or equal to the initial provable lower bound) and the high end
-accepted.  Each guess is preprocessed, dispatched to the regime core, and an
-accepted assignment is expanded back to the original jobs and re-verified
-before it is trusted.
+accepted.  Before it bisects, the search probes the regime's boundaries
+(:meth:`Regime.boundaries`), where the answer usually lies: each boundary b
+first, then b - 1 once b is accepted.  Each guess is preprocessed,
+dispatched to the regime core, and an accepted assignment is expanded back
+to the original jobs and re-verified before it is trusted.
 """
 
 from __future__ import annotations
@@ -67,6 +69,15 @@ def solve(
 ) -> Solution:
     """Find the smallest accepted guess and return its assignment.
 
+    When the trivial lower bound is declared, the search probes each regime
+    boundary b in (lower bound, greedy makespan] in ascending order: a
+    declared b raises the low end past it, and an accepted b becomes the
+    high end and is followed by b - 1, whose declaration settles the search
+    at b.  Whatever is left is bisected.  Plain bisection over n candidate
+    guesses takes at most ceil(log2 n) + 1 of them; each boundary adds at
+    most one guess to that, so the probes cost at most 2 extra guesses in
+    two-valued mode and 1 in general mode.
+
     The certified ratio of the result compares the recomputed makespan with
     the strongest proven lower bound (the largest declared guess plus one, or
     the initial bound when nothing was declared).
@@ -80,7 +91,7 @@ def solve(
     pushes = 0
     memo: dict = {}  # reductions per edge set, for this solve only
 
-    def attempt(t: int):
+    def attempt(t: int, probe: bool = False):
         nonlocal invocations, pushes
         invocations += 1
         sub: list | None = [] if trace is not None else None
@@ -89,11 +100,13 @@ def solve(
             if trace is not None:
                 trace.extend({"t": t, "stage": stage, **event} for event in events)
 
+        probed = {"probe": True} if probe else {}
+
         reduced = reduce_instance(instance, t, regime.mode, regime.beta, memo)
         if isinstance(reduced, Declaration):
             declarations.append(reduced)
             emit("reduce", [{"op": "declare", "kind": reduced.kind}])
-            emit("search", [{"outcome": "declared"}])
+            emit("search", [{"outcome": "declared", **probed}])
             return None
         if trace is not None:
             emit("reduce", reduced.reduction_events())
@@ -102,7 +115,7 @@ def solve(
         emit("core", sub)
         if isinstance(result, Declaration):
             declarations.append(result)
-            emit("search", [{"outcome": "declared"}])
+            emit("search", [{"outcome": "declared", **probed}])
             return None
         full = reduced.expand(result)
         valid, makespan = oracle.verify_solution(instance, full)
@@ -112,7 +125,7 @@ def solve(
             raise InvariantViolation(
                 f"makespan {makespan} exceeds {format_fraction(regime.bound)} * {t}"
             )
-        emit("search", [{"outcome": "accepted", "makespan": makespan}])
+        emit("search", [{"outcome": "accepted", "makespan": makespan, **probed}])
         return full, makespan
 
     best = attempt(lo)
@@ -120,6 +133,21 @@ def solve(
     if best is None:
         # only the search needs an accepted upper end
         low, high = lo + 1, max(lo, oracle.greedy_makespan(instance))
+        for b in regime.boundaries(instance.jobs):
+            if not low <= b <= high:
+                continue
+            outcome = attempt(b, probe=True)
+            if outcome is None:
+                low = b + 1
+                continue
+            high, best = b, outcome
+            if b - 1 >= low:
+                outcome = attempt(b - 1, probe=True)
+                if outcome is None:
+                    low = b
+                else:
+                    high, best = b - 1, outcome
+            break
         while low < high:
             mid = (low + high) // 2
             outcome = attempt(mid)
@@ -129,10 +157,11 @@ def solve(
                 low = mid + 1
         t_star = low
         if best is None:
-            best = attempt(t_star)
+            # a probe at the greedy makespan may already have been declared
+            best = attempt(t_star) if t_star <= high else None
             if best is None:
                 raise InvariantViolation(
-                    f"upper guess t={t_star} was declared infeasible"
+                    f"upper guess t={high} was declared infeasible"
                 )
 
     assignment, makespan = best

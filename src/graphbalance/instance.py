@@ -329,6 +329,24 @@ class Regime:
             return max(t // 2, (self.heavy or 0) - 1)
         return floor_times(self.beta, t)
 
+    def boundaries(self, jobs) -> tuple[int, ...]:
+        """The guesses, ascending, where the regime's answer changes, for a
+        solve of *jobs*: {2w, 2W} in two-valued mode, where below 2w the
+        matching core is exact and below 2W a multi-cycle component of
+        heavy jobs rules out every guess.  In general mode it is
+        ``ceil(w_k/beta)``, below which the jobs of weight at least w_k are
+        edge jobs; w_k is the weight at which the two-machine jobs, added
+        heaviest first, first give one component two independent cycles,
+        and with no such weight there is no boundary."""
+        if self.mode == SolveMode.TWO_VALUED:
+            if self.heavy is None:
+                return ()
+            return tuple(sorted({2 * self.light, 2 * self.heavy}))
+        weight = _second_cycle_weight(jobs)
+        if weight is None:
+            return ()
+        return (-(-weight * self.beta.denominator // self.beta.numerator),)
+
     @property
     def fields(self) -> dict:
         """The mode fields every declaration ends with: ``mode``, ``beta``
@@ -339,6 +357,32 @@ class Regime:
         if self.heavy is not None:
             fields.update(W=self.heavy, w=self.light)
         return fields
+
+
+def _second_cycle_weight(jobs) -> int | None:
+    """The weight at which the two-machine *jobs*, joined heaviest first in a
+    union-find, first leave one component with more edges than nodes, or
+    ``None``.  Cycles only accumulate, so stopping at the first such edge
+    gives the same weight as adding each group of equal weights whole."""
+    parent: dict[str, str] = {}
+    cycles: dict[str, int] = {}  # per root: edges minus nodes plus one
+
+    def find(v: str) -> str:
+        while parent.setdefault(v, v) != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    pairs = [(j.weight, *j.eligible) for j in jobs if len(j.eligible) == 2]
+    for weight, u, v in sorted(pairs, key=lambda pair: -pair[0]):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            cycles[ru] = cycles.get(ru, 0) + 1
+        else:
+            parent[rv] = ru
+            cycles[ru] = cycles.get(ru, 0) + cycles.pop(rv, 0)
+        if cycles[ru] >= 2:
+            return weight
+    return None
 
 
 def _two_valued_violations(instance: Instance) -> list[str]:

@@ -16,6 +16,7 @@ from graphbalance import (
     solve,
     validate,
 )
+from graphbalance.preprocess import DEDICATED_OVERFLOW, MULTI_CYCLE_COMPONENT
 
 from conftest import build, loaded_general, loaded_two_valued, regime_or_none
 
@@ -139,3 +140,70 @@ def test_auto_mode_has_no_regime():
         Regime.of(inst, SolveMode.AUTO)
     with pytest.raises(ValueError):
         reduce_instance(inst, 7, SolveMode.AUTO)
+
+
+def triangle(prefix, nodes, weight):
+    a, b, c = nodes
+    return [(f"{prefix}1", weight, [a, b]), (f"{prefix}2", weight, [b, c]),
+            (f"{prefix}3", weight, [c, a])]
+
+
+SEVEN_TENTHS = Fraction(7, 10)
+
+
+class TestBoundaries:
+    # (W, w): W >= 2w, then W < 2w
+    @pytest.mark.parametrize("heavy, light, expected", ((10, 3, (6, 20)), (7, 4, (8, 14))))
+    def test_two_valued_boundaries_are_2w_and_2W(self, heavy, light, expected):
+        assert Regime(SolveMode.TWO_VALUED, None, heavy, light).boundaries(()) == expected
+
+    @pytest.mark.parametrize("mode, beta", ((SolveMode.TWO_VALUED, None), (SolveMode.GENERAL, SEVEN_TENTHS)))
+    def test_no_multi_machine_jobs_give_no_boundary(self, mode, beta):
+        inst = build([("a", 0), ("b", 0)], [("s", 5, ["a"]), ("t", 3, ["b"])])
+        assert Regime.of(inst, mode, beta).boundaries(inst.jobs) == ()
+
+    @pytest.mark.parametrize(
+        "jobs, expected",
+        [
+            # two triangles of weight 10 hold one cycle each; the bridge of
+            # weight 8 merges them: ceil(8 / (7/10)) = 12
+            (triangle("p", "abc", 10) + triangle("q", "def", 10) + [("r", 8, ["c", "d"])], (12,)),
+            # a tie group of weight 7 closes both cycles: 7 / (7/10) = 10
+            (triangle("p", "abc", 7) + [("q", 7, ["a", "b"]), ("r", 9, ["d", "e"])], (10,)),
+            # the second cycle closes at 6, not at the heavier 9 and 8
+            ([("p", 9, ["a", "b"]), ("q", 8, ["a", "b"]), ("r", 6, ["a", "b"]),
+              ("s", 5, ["a", "b"])], (9,)),
+            # one cycle with a tree hanging off it, and a job on three machines
+            (triangle("p", "abc", 9) + [("q", 8, ["c", "d"]), ("r", 7, ["d", "e"]),
+                                        ("s", 3, ["a", "b", "e"])], ()),
+        ],
+    )
+    def test_general_boundary_is_where_a_second_cycle_closes(self, jobs, expected):
+        machines = sorted({v for _, _, eligible in jobs for v in eligible})
+        inst = build([(v, 0) for v in machines], jobs)
+        regime = Regime(SolveMode.GENERAL, SEVEN_TENTHS)
+        assert regime.boundaries(inst.jobs) == expected
+        assert regime.boundaries(reversed(inst.jobs)) == expected
+
+    def test_multi_cycle_is_declared_just_below_the_boundary(self):
+        """Every guess from W_max to b - 1 has a multi-cycle component, or
+        overflows before the edge jobs are split off; b has none."""
+        declared = 0
+        for inst, regime in seeded_regimes():
+            if regime.mode == SolveMode.TWO_VALUED:
+                # no edge job is left at 2W
+                assert kind_at(inst, regime, 2 * regime.heavy) != MULTI_CYCLE_COMPONENT
+                continue
+            for b in regime.boundaries(inst.jobs):
+                for t in range(inst.max_weight(), b):
+                    kind = kind_at(inst, regime, t)
+                    assert kind in (MULTI_CYCLE_COMPONENT, DEDICATED_OVERFLOW)
+                    declared += kind == MULTI_CYCLE_COMPONENT and t == b - 1
+                assert kind_at(inst, regime, max(b, inst.max_weight())) != MULTI_CYCLE_COMPONENT
+        assert declared >= 10
+
+
+def kind_at(inst, regime, t):
+    """The kind of the declaration at guess *t*, or ``None``."""
+    reduced = reduce_instance(inst, t, regime.mode, regime.beta)
+    return reduced.kind if isinstance(reduced, Declaration) else None

@@ -529,11 +529,12 @@ class TestAgainstRescanningReference:
 # rescanning core on exact rational thresholds
 GOLDEN_SHA256 = "886e2c2e3c345cf9f2ad94da1f12550aee99630a43c0d9d19f04156e7b0a1223"
 # sha256 over hash_declarations(...) of the same solves, as computed by the
-# matching core's second alternating search and relief's residual search
-GOLDEN_DECLARATIONS_SHA256 = "b9b0b76c3181fe824b68ba7f3340ea27e1b66c3cb948db181baa422995867d26"
+# matching core's second alternating search and relief's residual search,
+# with the search probing the regime boundaries before it bisects
+GOLDEN_DECLARATIONS_SHA256 = "e75fac619b94ce6c32ae44f114f1ffe8f2beb699dd4d7d02f94b346ebc65cdb8"
 # sha256 over the same solves' trace events, one JSON line each as
 # `solve --trace` writes them, so key order counts too
-GOLDEN_TRACES_SHA256 = "b372f64a27f1fb550f600eac60260ceb212caa460dd58e3770547c800226a167"
+GOLDEN_TRACES_SHA256 = "2244c66a21257d1baaf07ab042c8bbecb828a2559713e2c99ecdae320cc4384d"
 
 
 def golden_corpus():
