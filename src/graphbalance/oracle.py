@@ -167,19 +167,6 @@ def _jobs(instance: Instance, payload: dict, key: str) -> list | None:
     return [jobs[jid] for jid in ids]
 
 
-def _id_map(payload: dict, key: str, kind: type) -> dict:
-    """``payload[key]`` as a map from ids to *kind* values."""
-    value = payload.get(key)
-    # type(), not isinstance(): a JSON true would pass as the int 1
-    if not isinstance(value, dict) or not all(
-        isinstance(k, str) and type(x) is kind for k, x in value.items()
-    ):
-        raise MalformedDeclaration(
-            f"payload needs an object of {kind.__name__} values in {key!r}"
-        )
-    return dict(value)
-
-
 def _payload_mode(payload: dict):
     # a declaration is made at one guess of a resolved mode, never in auto
     if payload.get("mode") not in (SolveMode.TWO_VALUED, SolveMode.GENERAL):
@@ -199,8 +186,10 @@ def _payload_mode(payload: dict):
     return mode, beta
 
 
-def _edge_graph_at(instance: Instance, t: int, mode: SolveMode, beta):
-    """Edge-job graph of the raw instance at guess t (no reductions applied)."""
+def _edge_graph_at(instance: Instance, t: int, mode: SolveMode, beta, left_out):
+    """Edge-job graph of the raw instance at guess t (no reductions applied).
+    An edge job whose id is in *left_out* keeps its place at weight 0: it
+    still takes one end of its edge."""
     multi = [j for j in instance.jobs if len(j.eligible) >= 2]
     edges = []
     if mode == SolveMode.TWO_VALUED:
@@ -214,29 +203,41 @@ def _edge_graph_at(instance: Instance, t: int, mode: SolveMode, beta):
                 f"job {j.id!r} is heavy at t={t} but eligible on {len(j.eligible)} machines"
             )
         u, v = instance.sorted_eligible(j)
-        edges.append(preprocess.EdgeJob(j.id, u, v, j.weight))
+        edges.append(preprocess.EdgeJob(j.id, u, v, 0 if j.id in left_out else j.weight))
     return preprocess.EdgeGraph(tuple(instance.machine_ids), tuple(edges))
 
 
-def _load_floors(instance, t, mode, beta):
+def _load_floors(instance, t, mode, beta, left_out):
     """``floor(subset)``: the least load the machines in *subset* must absorb
-    in any makespan<=t assignment, that is, folded dedicated loads plus the
-    minimum edge-job load any valid orientation sends into the subset.  None
-    means no orientation with at most one incoming edge per node exists at
-    all.  The raw edge graph and the folded loads are built once, and each
-    subset's floor is computed once."""
-    graph = _edge_graph_at(instance, t, mode, beta)
+    from the jobs outside *left_out* in any makespan<=t assignment, that is,
+    folded dedicated loads plus the minimum edge-job load any valid
+    orientation sends into the subset.  None means no orientation with at
+    most one incoming edge per node exists at all.  Leaving the witness jobs
+    out keeps a check from counting them twice.  The raw edge graph and the
+    folded loads are built once."""
+    out = {j.id for j in left_out}
+    graph = _edge_graph_at(instance, t, mode, beta, out)
     base, _ = _folded(instance)
-    memo: dict[frozenset, int | None] = {}
+    for job in left_out:
+        if len(job.eligible) == 1:
+            (only,) = job.eligible
+            base[only] -= job.weight
 
     def floor(subset) -> int | None:
-        key = frozenset(subset)
-        if key not in memo:
-            forced = preprocess.min_edge_load_into(graph, set(key))
-            memo[key] = None if forced is None else sum(base[v] for v in key) + forced
-        return memo[key]
+        forced = preprocess.min_edge_load_into(graph, subset)
+        return None if forced is None else sum(base[v] for v in subset) + forced
 
     return floor
+
+
+def _cut_overfills(instance, t, mode, beta, cut: set) -> bool:
+    """True iff the machines in *cut* must take more than t each: their
+    floor without the jobs trapped in the cut (eligible only inside it),
+    plus those jobs' weight, exceeds ``|cut|*t``.  This one test checks an
+    overflowing machine, a flow cut and an activated set alike."""
+    trapped = [j for j in instance.jobs if j.eligible <= cut]
+    floor = _load_floors(instance, t, mode, beta, trapped)(cut)
+    return floor is None or floor + sum(j.weight for j in trapped) > len(cut) * t
 
 
 def verify_certificate(
@@ -245,8 +246,8 @@ def verify_certificate(
     """Independently re-check a declaration that OPT >= t+1.
 
     Every check recounts from the raw instance; nothing trusts solver state
-    beyond what the payload carries.  Returns one of ``confirmed``,
-    ``refuted`` or ``needs_exhaustive``.
+    beyond the ids and the mode the payload names.  Returns one of
+    ``confirmed``, ``refuted`` or ``needs_exhaustive``.
     """
     t = declaration.t
     payload = declaration.payload
@@ -259,8 +260,7 @@ def verify_certificate(
         if machine not in instance.machine_index:
             raise MalformedDeclaration(f"unknown machine {machine!r}")
         mode, beta = _payload_mode(payload)
-        floor = _load_floors(instance, t, mode, beta)([machine])
-        if floor is None or floor > t:
+        if _cut_overfills(instance, t, mode, beta, {machine}):
             return CONFIRMED
         return REFUTED
 
@@ -287,84 +287,34 @@ def verify_certificate(
         weights = sorted(j.weight for j in witness)
         if len(weights) >= 2 and weights[0] + weights[1] <= t:
             return REFUTED  # two witness jobs could share a machine
-        floors = _load_floors(instance, t, mode, beta)
-        neighborhood = set()
-        for j in witness:
-            for v in j.eligible:
-                floor = floors([v])
-                if floor is not None and floor + j.weight <= t:
-                    neighborhood.add(v)
+        floor = _load_floors(instance, t, mode, beta, witness)
+        room = {v: floor({v}) for v in set().union(*(j.eligible for j in witness))}
+        neighborhood = {
+            v
+            for j in witness
+            for v in j.eligible
+            if room[v] is not None and room[v] + j.weight <= t
+        }
         if len(neighborhood) < len(witness):
             return CONFIRMED
         return REFUTED
 
-    if kind == preprocess.PREFLOW_HEIGHT:
-        cut = _ids(payload, "cut")
-        captive = _jobs(instance, payload, "captive_jobs")
+    if kind in (preprocess.PREFLOW_HEIGHT, preprocess.ACTIVATED_SET):
+        cut = set(_ids(payload, "cut" if kind == preprocess.PREFLOW_HEIGHT else "activated"))
         mode, beta = _payload_mode(payload)
-        cut_set = set(cut)
-        if len(cut_set) != len(cut) or not cut_set <= set(instance.machine_index):
+        if not cut <= instance.machine_index.keys():
             return REFUTED
-        if captive is None:
-            return REFUTED
-        total = 0
-        for job in captive:
-            if not job.eligible <= cut_set:
-                return REFUTED  # not captive: eligibility escapes the cut
-            total += job.weight
-        floor = _load_floors(instance, t, mode, beta)(cut_set)
-        if floor is None or floor + total > len(cut_set) * t:
+        if _cut_overfills(instance, t, mode, beta, cut):
             return CONFIRMED
-        return REFUTED
-
-    if kind == preprocess.ACTIVATED_SET:
-        return _verify_activated_set(instance, declaration, allow_exhaustive)
+        if kind == preprocess.PREFLOW_HEIGHT:
+            return REFUTED
+        # The cut can be weaker than the per-component argument the
+        # two-valued core relies on, so fall through to exhaustive search.
+        if allow_exhaustive:
+            try:
+                return REFUTED if feasible_at(instance, t) else CONFIRMED
+            except OracleBudgetError:
+                pass
+        return NEEDS_EXHAUSTIVE
 
     raise MalformedDeclaration(f"unknown declaration kind {kind!r}")
-
-
-def _verify_activated_set(instance, declaration, allow_exhaustive: bool) -> str:
-    payload = declaration.payload
-    t = declaration.t
-    mode, beta = _payload_mode(payload)
-    activated = _ids(payload, "activated")
-    placement = _id_map(payload, "placement", str)
-    pl_snapshot = _id_map(payload, "pl", int)
-
-    reduced = preprocess.reduce_instance(instance, t, mode, beta)
-    if isinstance(reduced, preprocess.Declaration):
-        # preprocessing alone already rules the guess out
-        return verify_certificate(instance, reduced, allow_exhaustive)
-    ctx = reduced
-
-    active = set(activated)
-    if len(active) != len(activated) or not active <= set(ctx.machine_ids):
-        return REFUTED
-    movables = {p.id: p for p in ctx.movables}
-    if set(placement) != set(movables):
-        return REFUTED
-    pl = {v: 0 for v in ctx.machine_ids}
-    for pid, v in placement.items():
-        if v not in movables[pid].eligible:
-            return REFUTED
-        pl[v] += movables[pid].weight
-    for v, claimed in pl_snapshot.items():
-        if pl.get(v) != claimed:
-            return REFUTED
-    # movables sitting on the activated set must be trapped inside it
-    for pid, v in placement.items():
-        if v in active and not movables[pid].eligible <= active:
-            return REFUTED
-
-    forced = preprocess.min_edge_load_into(ctx.graph, active)
-    lhs = sum(pl[v] + ctx.dedicated[v] for v in active) + forced
-    if lhs > len(active) * t:
-        return CONFIRMED
-    # The summed bound can be weaker than the per-component argument the
-    # two-valued core relies on, so fall through to exhaustive search.
-    if allow_exhaustive:
-        try:
-            return REFUTED if feasible_at(instance, t) else CONFIRMED
-        except OracleBudgetError:
-            pass
-    return NEEDS_EXHAUSTIVE

@@ -282,6 +282,18 @@ def test_declaration_verify_path(tmp_path):
     assert run(["verify", str(inst_file), str(decl_file)]) == 0
 
 
+def test_activated_set_below_the_heaviest_job_gets_a_verdict(tmp_path, capsys):
+    # at t = 5 each weight-10 job overfills whichever of a and b takes it:
+    # the claim holds, and a guess below the heaviest job is no input error
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(serialize_instance(build(*AUTO_MODE_INSTANCE)))
+    payload = {"activated": ["a"], "placement": {}, "pl": {}, "mode": "general", "beta": "7/10"}
+    decl_file = tmp_path / "decl.json"
+    decl_file.write_text(json.dumps({"t": 5, "kind": "activated_set", "payload": payload}))
+    assert run(["verify", str(inst_file), str(decl_file)]) == 0
+    assert capsys.readouterr() == ("confirmed: OPT >= 6 (activated_set)\n", "")
+
+
 @pytest.mark.parametrize("kind", sorted(AUTO_MODE_DECLARATIONS))
 def test_declaration_in_auto_mode_is_input_error(tmp_path, kind, capsys):
     inst_file = tmp_path / "inst.json"
