@@ -133,7 +133,7 @@ def forced_orientations(
         for e in ctx.graph.incident(v):
             if e.weight > room and head[e.id] is None:
                 edge_of[e.id] = e
-                found.append((v, e.other(v), e.id))
+                found.append((v, e.v if v == e.u else e.u, e.id))
         return found
 
     def pop(heap):
@@ -484,17 +484,16 @@ def _complete_orientation(ctx: GuessContext, orient: Orientation):
     """Direct the leftover neutral edges, at most one more per machine.
 
     Each tree of neutral edges points away from its lowest-index node that
-    already has an incoming edge, or from its lowest-index node."""
-    neutral = EdgeGraph(
-        ctx.graph.nodes, tuple(e for e in ctx.graph.edges if orient.neutral(e))
-    )
-    edges = {e.id: e for e in neutral.edges}
-    extra_in = {v: 0 for v in ctx.machine_ids}
+    already has an incoming edge, or from its lowest-index node.  The neutral
+    graph holds only the ends of neutral edges, so the work is linear in
+    those edges."""
+    edges = {e.id: e for e in ctx.graph.edges if orient.neutral(e)}
+    ends = {v for e in edges.values() for v in (e.u, e.v)}
+    neutral = EdgeGraph(tuple(sorted(ends, key=ctx.graph.order)), tuple(edges.values()))
     heads = orient_components(neutral, lambda x: orient.in_load[x] > 0)
     for eid, head in heads.items():
         orient.direct(edges[eid], head)
-        extra_in[head] += 1
-    if any(count > 1 for count in extra_in.values()):
+    if len(set(heads.values())) < len(heads):
         raise InvariantViolation("a machine received two extra edge jobs")
 
 

@@ -83,7 +83,12 @@ class Component:
 
 
 class EdgeGraph:
-    """Multigraph of edge jobs over the machines (node order preserved)."""
+    """Multigraph of edge jobs over the machines (node order preserved).
+
+    Components are found in one pass linear in nodes and edges, up to the
+    sort of each component's nodes and edges: a node with no edge becomes an
+    isolated component at once, and a walk visits each edge from both ends.
+    """
 
     def __init__(self, nodes: tuple[str, ...], edges: tuple[EdgeJob, ...]):
         self.nodes = tuple(nodes)
@@ -107,37 +112,37 @@ class EdgeGraph:
         return self._components
 
     def _compute_components(self) -> list[Component]:
+        adjacency = self._adjacency
         seen: set[str] = set()
         out = []
         for start in self.nodes:
+            if not adjacency[start]:
+                out.append(Component((start,), (), "isolated"))
+                continue
             if start in seen:
                 continue
-            stack, nodes, edge_ids, edges = [start], [], set(), []
             seen.add(start)
+            stack, nodes, by_id = [start], [], {}
             while stack:
                 v = stack.pop()
                 nodes.append(v)
-                for e in self._adjacency[v]:
-                    if e.id not in edge_ids:
-                        edge_ids.add(e.id)
-                        edges.append(e)
-                    w = e.other(v)
+                for e in adjacency[v]:
+                    by_id[e.id] = e
+                    w = e.v if v == e.u else e.u
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
             nodes.sort(key=self._order.__getitem__)
-            edges.sort(key=lambda e: e.id)
+            edges = tuple(by_id[i] for i in sorted(by_id))
             n, k = len(nodes), len(edges)
-            if k == 0:
-                kind = "isolated"
-            elif k == n - 1:
+            if k == n - 1:
                 kind = "tree"
             elif k > n:
                 kind = "multi_cycle"
             else:
-                cyclic = all(len(self._adjacency[v]) == 2 for v in nodes)
+                cyclic = all(len(adjacency[v]) == 2 for v in nodes)
                 kind = "cycle" if cyclic else "one_cycle"
-            out.append(Component(tuple(nodes), tuple(edges), kind))
+            out.append(Component(tuple(nodes), edges, kind))
         return out
 
 
@@ -217,7 +222,7 @@ def min_edge_load_into(graph: EdgeGraph, subset) -> int | None:
     ``None`` when some component admits no valid orientation at all.
     """
     subset = set(subset)
-    unknown = subset - set(graph.nodes)
+    unknown = {v for v in subset if v not in graph._order}
     if unknown:
         raise KeyError(f"unknown nodes in subset: {sorted(unknown)}")
     total = 0
@@ -317,8 +322,8 @@ class GuessContext:
         """Every remaining multi-machine job as ``(id, weight, eligible)``,
         eligible machines in instance order, sorted by job id."""
         items = [(p.id, p.weight, self.instance.sorted_eligible(p)) for p in self.movables]
-        for e in self.graph.edges:
-            items.append((e.id, e.weight, sorted((e.u, e.v), key=self.index)))
+        for e in self.graph.edges:  # the reduction orders each edge's ends
+            items.append((e.id, e.weight, [e.u, e.v]))
         items.sort(key=lambda item: item[0])
         return items
 
@@ -482,7 +487,9 @@ def _reduce_edge_set(basis: _SolveBasis, t: int, floor: int) -> _EdgeSetReductio
                 ]
             )
         else:
-            u, v = instance.sorted_eligible(job)
+            u, v = job.eligible
+            if order(u) > order(v):
+                u, v = v, u
             edge_jobs.append(EdgeJob(job.id, u, v, job.weight))
     graph = EdgeGraph(nodes, tuple(edge_jobs))
     dropped: set[str] = set()

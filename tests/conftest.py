@@ -14,6 +14,8 @@ from fractions import Fraction
 import pytest
 
 from graphbalance import (
+    EdgeGraph,
+    EdgeJob,
     Instance,
     JobSpec,
     MachineSpec,
@@ -132,6 +134,27 @@ def unit_regime(seed: int):
         degree = rng.randint(1, m)
         jobs.append((f"l{i}", light, rng.sample(ids, degree)))
     return build(machines, jobs, SolveMode.TWO_VALUED), heavy, light
+
+
+def tree_and_cycle_graph(rng: random.Random) -> EdgeGraph:
+    """Trees, simple cycles of three or more nodes and isolated nodes on up
+    to 14 machines, in a graph order that is not name order."""
+    nodes = [f"v{i}" for i in range(rng.randint(1, 14))]
+    rng.shuffle(nodes)
+    edges: list[EdgeJob] = []
+    groups, start = [], 0
+    while start < len(nodes):
+        size = rng.randint(1, 6)
+        groups.append(nodes[start:start + size])
+        start += size
+    for group in groups:
+        if len(group) >= 3 and rng.random() < 0.4:
+            pairs = zip(group, group[1:] + group[:1])
+        else:
+            pairs = ((rng.choice(group[:i]), v) for i, v in enumerate(group) if i)
+        for u, v in pairs:
+            edges.append(EdgeJob(f"e{len(edges)}", u, v, rng.randint(1, 9)))
+    return EdgeGraph(tuple(nodes), tuple(edges))
 
 
 @pytest.fixture

@@ -297,27 +297,27 @@ HAND_MADE = {
     "cut-overloaded": (FIVES, 12, PREFLOW_HEIGHT, {
         "cut": ["a", "b"], "captive_jobs": [f"j{i}" for i in range(5)], **GENERAL_7_10},
         CONFIRMED),
-    "cut-duplicate-machine": (CROWDED, 10, PREFLOW_HEIGHT, {
+    "cut-load-fits-repeated-machine": (CROWDED, 10, PREFLOW_HEIGHT, {
         "cut": ["a", "a"], "captive_jobs": ["e"], **GENERAL_7_10}, REFUTED),
     "cut-unknown-machine": (CROWDED, 10, PREFLOW_HEIGHT, {
         "cut": ["a", "zz"], "captive_jobs": ["e"], **GENERAL_7_10}, REFUTED),
-    "cut-duplicate-captive": (CROWDED, 10, PREFLOW_HEIGHT, {
+    "cut-load-fits-three-trapped-jobs": (CROWDED, 10, PREFLOW_HEIGHT, {
         "cut": ["a", "b"], "captive_jobs": ["e", "f", "f", "g"], **GENERAL_7_10}, REFUTED),
-    "cut-captive-escapes": (OVERLAP, 10, PREFLOW_HEIGHT, {
+    "cut-load-fits-escaping-job-untrapped": (OVERLAP, 10, PREFLOW_HEIGHT, {
         "cut": ["a", "b"], "captive_jobs": ["e", "f"], **GENERAL_7_10}, REFUTED),
     "cut-load-fits": (OVERLAP, 10, PREFLOW_HEIGHT, {
         "cut": ["a", "b"], "captive_jobs": ["e"], **GENERAL_7_10}, REFUTED),
     # activated_set: likewise only "activated" is read, never "placement"
     # or "pl"; a cut that fails falls back to exhaustive search
-    "activated-duplicate-machine": (HEAVY_LIGHT, 10, ACTIVATED_SET, activated(
+    "activated-fits-exhaustively-repeated-machine": (HEAVY_LIGHT, 10, ACTIVATED_SET, activated(
         ["a", "a"], {"l": "b"}, {"b": 3}), REFUTED),
     "activated-unknown-machine": (HEAVY_LIGHT, 10, ACTIVATED_SET, activated(
         ["zz"], {"l": "b"}, {"b": 3}), REFUTED),
-    "activated-placement-misses-a-movable": (HEAVY_LIGHT, 10, ACTIVATED_SET, activated(
+    "activated-fits-exhaustively-placement-ignored": (HEAVY_LIGHT, 10, ACTIVATED_SET, activated(
         ["a"], {}, {}), REFUTED),
-    "activated-placement-on-ineligible-machine": (HEAVY_LIGHT, 10, ACTIVATED_SET, activated(
+    "activated-fits-exhaustively-idle-machine": (HEAVY_LIGHT, 10, ACTIVATED_SET, activated(
         ["c"], {"l": "c"}, {"c": 3}), REFUTED),
-    "activated-wrong-pl": (HEAVY_LIGHT, 10, ACTIVATED_SET, activated(
+    "activated-fits-exhaustively-pl-ignored": (HEAVY_LIGHT, 10, ACTIVATED_SET, activated(
         ["a"], {"l": "b"}, {"b": 2}), REFUTED),
     "activated-fits-exhaustively": (HEAVY_LIGHT, 10, ACTIVATED_SET, activated(
         ["a"], {"l": "b"}, {"a": 0, "b": 3, "c": 0}), REFUTED),

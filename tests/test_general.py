@@ -11,6 +11,7 @@ import pytest
 
 from graphbalance import (
     Declaration,
+    EdgeGraph,
     SolveMode,
     feasible_at,
     generate_adversarial_path,
@@ -31,9 +32,16 @@ from graphbalance.general import (
     run_general,
 )
 from graphbalance import general
+from graphbalance.preprocess import orient_components
 from graphbalance.push import PushMove, PushState, potential_value
 
-from conftest import assert_push_events, build, hash_declarations, loaded_general
+from conftest import (
+    assert_push_events,
+    build,
+    hash_declarations,
+    loaded_general,
+    tree_and_cycle_graph,
+)
 
 BETA = Fraction(7, 10)
 BETAS = (Fraction(4, 7), Fraction(2, 3), Fraction(7, 10), Fraction(9, 10))
@@ -292,6 +300,57 @@ class TestForcedOrientations:
         snapshot = dict(orient.head)
         forced_orientations(ctx, orient, ml, th, ctx.graph.nodes)
         assert orient.head == snapshot
+
+
+def reference_complete_orientation(ctx, orient):
+    """Reference: the neutral graph over every machine, isolated ones
+    included."""
+    neutral = EdgeGraph(
+        ctx.graph.nodes, tuple(e for e in ctx.graph.edges if orient.neutral(e))
+    )
+    edges = {e.id: e for e in neutral.edges}
+    for eid, head in orient_components(neutral, lambda x: orient.in_load[x] > 0).items():
+        orient.direct(edges[eid], head)
+
+
+class TestCompleteOrientation:
+    def test_matches_the_full_node_reference(self):
+        for seed in range(300):
+            rng = random.Random(seed)
+            graph = tree_and_cycle_graph(rng)
+            ctx = SimpleNamespace(graph=graph)
+            fast, slow = Orientation(graph), Orientation(graph)
+            share = rng.choice((0.0, 0.3, 0.7))
+            for e in graph.edges:
+                if rng.random() < share:
+                    head = rng.choice((e.u, e.v))
+                    fast.direct(e, head)
+                    slow.direct(e, head)
+            general._complete_orientation(ctx, fast)
+            reference_complete_orientation(ctx, slow)
+            assert fast.log == slow.log, seed
+            assert fast.head == slow.head, seed
+            assert None not in fast.head.values()
+
+    def test_fully_directed_path_builds_an_empty_neutral_graph(self, monkeypatch):
+        inst = generate_adversarial_path(50, 100)
+        ctx = reduce_instance(inst, 100, SolveMode.GENERAL, BETA)
+        orient = Orientation(ctx.graph)
+        th = ThresholdsG.make(100, BETA)
+        forced_orientations(ctx, orient, PushState(ctx).loads, th, ctx.graph.nodes)
+        assert not any(orient.neutral(e) for e in ctx.graph.edges)
+        built = []
+
+        class Recording(EdgeGraph):
+            def __init__(self, nodes, edges):
+                super().__init__(nodes, edges)
+                built.append(self)
+
+        monkeypatch.setattr(general, "EdgeGraph", Recording)
+        log = list(orient.log)
+        general._complete_orientation(ctx, orient)
+        assert orient.log == log
+        assert [(g.nodes, g.edges, g.components()) for g in built] == [((), (), [])]
 
 
 def seeded_contexts():

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from graphbalance.oracle import greedy_makespan, trivial_lower_bound
 from graphbalance.preprocess import (
     DEDICATED_OVERFLOW,
     MULTI_CYCLE_COMPONENT,
+    Component,
     _cycle_sequence,
     orient_components,
 )
@@ -43,6 +45,7 @@ from conftest import (
     loaded_two_valued,
     reduced_instance,
     regime_or_none,
+    tree_and_cycle_graph,
 )
 
 
@@ -310,8 +313,9 @@ class TestMinEdgeLoad:
 
     def test_unknown_node_raises(self):
         g = EdgeGraph(("a", "b"), (EdgeJob("e", "a", "b", 3),))
-        with pytest.raises(KeyError):
-            min_edge_load_into(g, {"zz"})
+        with pytest.raises(KeyError) as info:
+            min_edge_load_into(g, {"zz", "b", "yy"})
+        assert info.value.args == ("unknown nodes in subset: ['yy', 'zz']",)
 
     def test_multi_cycle_unreachable(self):
         g = EdgeGraph(
@@ -352,22 +356,8 @@ def test_orient_components_roots_trees_and_rotates_cycles(seed):
     """A tree points away from its first preferred node in graph order, or
     its first node; a cycle follows the ``_cycle_sequence`` rotation."""
     rng = random.Random(seed)
-    nodes = [f"v{i}" for i in range(rng.randint(1, 14))]
-    rng.shuffle(nodes)  # graph order is not name order
-    edges: list[EdgeJob] = []
-    groups, start = [], 0
-    while start < len(nodes):
-        size = rng.randint(1, 6)
-        groups.append(nodes[start:start + size])
-        start += size
-    for group in groups:
-        if len(group) >= 3 and rng.random() < 0.4:
-            pairs = zip(group, group[1:] + group[:1])
-        else:
-            pairs = ((rng.choice(group[:i]), v) for i, v in enumerate(group) if i)
-        for u, v in pairs:
-            edges.append(EdgeJob(f"e{len(edges)}", u, v, rng.randint(1, 9)))
-    graph = EdgeGraph(tuple(nodes), tuple(edges))
+    graph = tree_and_cycle_graph(rng)
+    nodes, edges = graph.nodes, graph.edges
     preferred = set(rng.sample(nodes, rng.randint(0, len(nodes))))
     head = orient_components(graph, preferred.__contains__)
     assert sorted(head) == sorted(e.id for e in edges)
@@ -380,6 +370,95 @@ def test_orient_components_roots_trees_and_rotates_cycles(seed):
         elif comp.kind == "tree":
             root = next((v for v in comp.nodes if v in preferred), comp.nodes[0])
             assert [v for v in comp.nodes if not into[v]] == [root]
+
+
+def reference_components(graph: EdgeGraph) -> list[Component]:
+    """Reference: a stack walk from every node not yet seen, isolated ones
+    included, then each component's nodes sorted by graph order and its
+    edges by id."""
+    seen: set[str] = set()
+    out = []
+    for start in graph.nodes:
+        if start in seen:
+            continue
+        stack, nodes, edge_ids, edges = [start], [], set(), []
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            nodes.append(v)
+            for e in graph.incident(v):
+                if e.id not in edge_ids:
+                    edge_ids.add(e.id)
+                    edges.append(e)
+                w = e.other(v)
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        nodes.sort(key=graph.order)
+        edges.sort(key=lambda e: e.id)
+        n, k = len(nodes), len(edges)
+        if k == 0:
+            kind = "isolated"
+        elif k == n - 1:
+            kind = "tree"
+        elif k > n:
+            kind = "multi_cycle"
+        else:
+            cyclic = all(len(graph.incident(v)) == 2 for v in nodes)
+            kind = "cycle" if cyclic else "one_cycle"
+        out.append(Component(tuple(nodes), tuple(edges), kind))
+    return out
+
+
+def random_multigraph(rng: random.Random) -> EdgeGraph:
+    """Groups of up to seven nodes, each left bare (isolated nodes), joined
+    by a ring (a simple cycle, or a parallel pair on two nodes) or by a
+    random tree with zero to three extra edges (trees, parallel pairs,
+    one-cycle and multi-cycle components).  Node and edge tuples are
+    shuffled, edge ends come in either order, and edge ids do not sort in
+    the order the edges are made."""
+    nodes = [f"m{i}" for i in range(rng.randint(1, 40))]
+    rng.shuffle(nodes)
+    ids = [f"e{i}" for i in range(4 * len(nodes))]
+    rng.shuffle(ids)
+    edges: list[EdgeJob] = []
+
+    def join(u, v):
+        if rng.random() < 0.5:
+            u, v = v, u
+        edges.append(EdgeJob(ids.pop(), u, v, rng.randint(1, 9)))
+
+    start = 0
+    while start < len(nodes):
+        group = nodes[start:start + rng.randint(1, 7)]
+        start += len(group)
+        shape = rng.choice(("bare", "ring", "tree"))
+        if len(group) == 1 or shape == "bare":
+            continue
+        if shape == "ring":
+            for u, v in zip(group, group[1:] + group[:1]):
+                join(u, v)
+            continue
+        for i, v in enumerate(group[1:], 1):
+            join(rng.choice(group[:i]), v)
+        for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+            join(*rng.sample(group, 2))
+    rng.shuffle(edges)
+    return EdgeGraph(tuple(nodes), tuple(edges))
+
+
+def test_components_match_the_reference_walk():
+    kinds = set()
+    parallel_pairs = 0
+    for seed in range(400):
+        graph = random_multigraph(random.Random(seed))
+        components = graph.components()
+        assert components == reference_components(graph), seed
+        kinds.update(c.kind for c in components)
+        ends = Counter(frozenset((e.u, e.v)) for e in graph.edges)
+        parallel_pairs += sum(count >= 2 for count in ends.values())
+    assert kinds == {"isolated", "tree", "cycle", "one_cycle", "multi_cycle"}
+    assert parallel_pairs > 0
 
 
 def memo_corpus():
