@@ -102,6 +102,7 @@ class Instance:
     jobs: tuple[JobSpec, ...]
     mode_hint: SolveMode = SolveMode.AUTO
     machine_index: dict[str, int] = field(init=False, compare=False, repr=False)
+    job_index: dict[str, JobSpec] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "machines", tuple(self.machines))
@@ -111,17 +112,18 @@ class Instance:
             if m.id in index:
                 raise ParseError(f"duplicate machine id {m.id!r}")
             index[m.id] = pos
-        seen_jobs: set[str] = set()
+        jobs: dict[str, JobSpec] = {}
         for j in self.jobs:
-            if j.id in seen_jobs:
+            if j.id in jobs:
                 raise ParseError(f"duplicate job id {j.id!r}")
-            seen_jobs.add(j.id)
+            jobs[j.id] = j
             for mid in j.eligible:
                 if mid not in index:
                     raise ParseError(
                         f"job {j.id!r} references unknown machine {mid!r}"
                     )
         object.__setattr__(self, "machine_index", index)
+        object.__setattr__(self, "job_index", jobs)
 
     @cached_property
     def machine_ids(self) -> tuple[str, ...]:

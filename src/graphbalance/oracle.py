@@ -38,8 +38,9 @@ def greedy_makespan(instance: Instance) -> int:
     """Makespan of placing the multi-machine jobs heaviest first, each on its
     least-loaded eligible machine: an upper bound on OPT."""
     loads, multi = _folded(instance)
+    index = instance.machine_index
     for job in sorted(multi, key=lambda j: (-j.weight, j.id)):
-        best = min(instance.sorted_eligible(job), key=lambda v: loads[v])
+        best = min(job.eligible, key=lambda v: (loads[v], index[v]))
         loads[best] += job.weight
     return max(loads.values(), default=0)
 
@@ -123,12 +124,11 @@ def verify_solution(instance: Instance, assignment: dict[str, str]):
     Returns ``(valid, makespan)`` with the makespan recomputed from scratch;
     on invalid input the makespan is 0.
     """
-    expected = {j.id for j in instance.jobs}
-    if set(assignment) != expected:
+    if len(assignment) != len(instance.jobs):
         return False, 0
     loads = {m.id: m.dedicated_load for m in instance.machines}
     for job in instance.jobs:
-        v = assignment[job.id]
+        v = assignment.get(job.id)
         if v not in job.eligible:
             return False, 0
         loads[v] += job.weight
@@ -160,7 +160,7 @@ def _jobs(instance: Instance, payload: dict, key: str) -> list | None:
     ids = _ids(payload, key)
     if len(set(ids)) != len(ids):
         return None
-    jobs = {j.id: j for j in instance.jobs}
+    jobs = instance.job_index
     for jid in ids:
         if jid not in jobs:
             raise MalformedDeclaration(f"unknown job {jid!r}")
@@ -187,9 +187,11 @@ def _payload_mode(payload: dict):
 
 
 def _edge_graph_at(instance: Instance, t: int, mode: SolveMode, beta, left_out):
-    """Edge-job graph of the raw instance at guess t (no reductions applied).
-    An edge job whose id is in *left_out* keeps its place at weight 0: it
-    still takes one end of its edge."""
+    """Edge-job graph of the raw instance at guess t (no reductions applied),
+    over the ends of its edges in instance order.  An edge job whose id is in
+    *left_out* keeps its place at weight 0: it still takes one end of its
+    edge."""
+    index = instance.machine_index
     multi = [j for j in instance.jobs if len(j.eligible) >= 2]
     edges = []
     if mode == SolveMode.TWO_VALUED:
@@ -202,9 +204,12 @@ def _edge_graph_at(instance: Instance, t: int, mode: SolveMode, beta, left_out):
             raise MalformedDeclaration(
                 f"job {j.id!r} is heavy at t={t} but eligible on {len(j.eligible)} machines"
             )
-        u, v = instance.sorted_eligible(j)
+        u, v = j.eligible
+        if index[u] > index[v]:
+            u, v = v, u
         edges.append(preprocess.EdgeJob(j.id, u, v, 0 if j.id in left_out else j.weight))
-    return preprocess.EdgeGraph(tuple(instance.machine_ids), tuple(edges))
+    ends = {v for e in edges for v in (e.u, e.v)}
+    return preprocess.EdgeGraph(tuple(sorted(ends, key=index.__getitem__)), tuple(edges))
 
 
 def _load_floors(instance, t, mode, beta, left_out):
@@ -214,7 +219,8 @@ def _load_floors(instance, t, mode, beta, left_out):
     orientation sends into the subset.  None means no orientation with at
     most one incoming edge per node exists at all.  Leaving the witness jobs
     out keeps a check from counting them twice.  The raw edge graph and the
-    folded loads are built once."""
+    folded loads are built once; a machine outside the graph has no edge
+    job, so it takes no edge load."""
     out = {j.id for j in left_out}
     graph = _edge_graph_at(instance, t, mode, beta, out)
     base, _ = _folded(instance)
@@ -223,8 +229,10 @@ def _load_floors(instance, t, mode, beta, left_out):
             (only,) = job.eligible
             base[only] -= job.weight
 
+    held = set(graph.nodes)
+
     def floor(subset) -> int | None:
-        forced = preprocess.min_edge_load_into(graph, subset)
+        forced = preprocess.min_edge_load_into(graph, [v for v in subset if v in held])
         return None if forced is None else sum(base[v] for v in subset) + forced
 
     return floor

@@ -88,6 +88,8 @@ class EdgeGraph:
     Components are found in one pass linear in nodes and edges, up to the
     sort of each component's nodes and edges: a node with no edge becomes an
     isolated component at once, and a walk visits each edge from both ends.
+    The same pass records the component of every node that has an edge and
+    whether any component has two cycles.
     """
 
     def __init__(self, nodes: tuple[str, ...], edges: tuple[EdgeJob, ...]):
@@ -99,6 +101,8 @@ class EdgeGraph:
             self._adjacency[e.u].append(e)
             self._adjacency[e.v].append(e)
         self._components: list[Component] | None = None
+        self._component_of: dict[str, int] = {}
+        self._multi_cycle = False
 
     def incident(self, node: str) -> list[EdgeJob]:
         return self._adjacency[node]
@@ -113,7 +117,7 @@ class EdgeGraph:
 
     def _compute_components(self) -> list[Component]:
         adjacency = self._adjacency
-        seen: set[str] = set()
+        seen = self._component_of  # the walks' seen set, by component index
         out = []
         for start in self.nodes:
             if not adjacency[start]:
@@ -121,7 +125,7 @@ class EdgeGraph:
                 continue
             if start in seen:
                 continue
-            seen.add(start)
+            here = seen[start] = len(out)
             stack, nodes, by_id = [start], [], {}
             while stack:
                 v = stack.pop()
@@ -130,7 +134,7 @@ class EdgeGraph:
                     by_id[e.id] = e
                     w = e.v if v == e.u else e.u
                     if w not in seen:
-                        seen.add(w)
+                        seen[w] = here
                         stack.append(w)
             nodes.sort(key=self._order.__getitem__)
             edges = tuple(by_id[i] for i in sorted(by_id))
@@ -139,6 +143,7 @@ class EdgeGraph:
                 kind = "tree"
             elif k > n:
                 kind = "multi_cycle"
+                self._multi_cycle = True
             else:
                 cyclic = all(len(adjacency[v]) == 2 for v in nodes)
                 kind = "cycle" if cyclic else "one_cycle"
@@ -218,19 +223,27 @@ def min_edge_load_into(graph: EdgeGraph, subset) -> int | None:
     A valid orientation gives every node at most one incoming edge, so a
     tree points away from one of its nodes, and a cycle, once its pendant
     trees are forced away from it, takes one of its two rotations.  Each
-    tree root's cost follows from its parent's by turning one edge.  Returns
-    ``None`` when some component admits no valid orientation at all.
+    tree root's cost follows from its parent's by turning one edge.  Only
+    the components *subset* meets are visited, and a tree it meets in one
+    node adds 0 without a walk: rooted there, it sends nothing into
+    *subset*.  Returns ``None`` when some component admits no valid
+    orientation at all.
     """
     subset = set(subset)
     unknown = {v for v in subset if v not in graph._order}
     if unknown:
         raise KeyError(f"unknown nodes in subset: {sorted(unknown)}")
+    components = graph.components()
+    if graph._multi_cycle:
+        return None
+    met: dict[int, int] = {}  # component index -> nodes of subset in it
+    for v in subset:
+        i = graph._component_of.get(v)  # a node with no edge takes no load
+        if i is not None:
+            met[i] = met.get(i, 0) + 1
     total = 0
-    for comp in graph.components():
-        if comp.kind == "multi_cycle":
-            return None
-        if subset.isdisjoint(comp.nodes):
-            continue
+    for i, count in met.items():
+        comp = components[i]
         if comp.kind in ("cycle", "one_cycle"):
             core_nodes, core_edges, folds = _prune_to_core(graph, comp)
             total += sum(e.weight for e, head in folds if head in subset)
@@ -239,7 +252,7 @@ def min_edge_load_into(graph: EdgeGraph, subset) -> int | None:
                 sum(e.weight for v, e in seq if e.other(v) in subset),
                 sum(e.weight for v, e in seq if v in subset),
             )
-        else:  # a tree or a lone node: the cost of each root's orientation
+        elif count > 1:  # a tree: the cost of each root's orientation
             root = comp.nodes[0]
             walk = _away_from(graph, root)
             cost = {root: sum(e.weight for e, head in walk if head in subset)}
@@ -363,7 +376,7 @@ class GuessContext:
     def reduction_events(self) -> list[dict]:
         """The folds that made this context, in the order made: single-machine
         jobs, edges forced off pendant trees, then parallel pairs."""
-        jobs = {j.id: j for j in self.instance.jobs}
+        jobs = self.instance.job_index
         events = []
         for job_id, machine in self.forced:
             job = jobs[job_id]

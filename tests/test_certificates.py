@@ -16,6 +16,7 @@ from graphbalance import (
     solve,
     verify_certificate,
 )
+from graphbalance import preprocess
 from graphbalance.oracle import CONFIRMED, NEEDS_EXHAUSTIVE, REFUTED
 from graphbalance.preprocess import (
     ACTIVATED_SET,
@@ -204,6 +205,29 @@ def test_witness_counted_twice_is_refuted(kind, payload):
     )
     assert feasible_at(inst, 10)
     assert verify_certificate(inst, Declaration(10, kind, payload)) == REFUTED
+
+
+def test_hall_floor_walks_no_tree_it_meets_in_one_machine(monkeypatch):
+    # 200 disjoint paths a-b-c of weight-8 edge jobs; witness job w_k of
+    # weight 6 may go on a_k or a_(k+1), each already holding 5, so no
+    # witness job fits at t = 10.  Every floor is one machine of one tree,
+    # which rooted there sends it nothing: no tree needs a walk.
+    trees = 200
+    machines = [(f"{x}{k}", 5 if x == "a" else 0) for k in range(trees) for x in "abc"]
+    jobs = [(f"e{k}{x}", 8, [f"{x}{k}", f"{y}{k}"]) for k in range(trees) for x, y in ("ab", "bc")]
+    jobs += [(f"w{k}", 6, [f"a{k}", f"a{(k + 1) % trees}"]) for k in range(trees)]
+    walks = []
+
+    def counted(graph, root):
+        walks.append(root)
+        return away_from(graph, root)
+
+    away_from = preprocess._away_from
+    monkeypatch.setattr(preprocess, "_away_from", counted)
+    payload = {"jobs": [f"w{k}" for k in range(trees)], "mode": "general", "beta": "7/10"}
+    claim = Declaration(10, HALL_VIOLATION, payload)
+    assert verify_certificate(build(machines, jobs), claim) == CONFIRMED
+    assert walks == []
 
 
 def test_weak_aggregate_falls_back_to_exhaustive():

@@ -114,3 +114,6 @@ class TestVerifySolution:
 
     def test_extra_job_rejected(self, tiny):
         assert verify_solution(tiny, {"a": "m1", "b": "m2", "c": "m1"}) == (False, 0)
+
+    def test_unknown_job_in_place_of_a_known_one_rejected(self, tiny):
+        assert verify_solution(tiny, {"a": "m1", "zz": "m2"}) == (False, 0)

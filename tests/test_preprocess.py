@@ -33,7 +33,9 @@ from graphbalance.preprocess import (
     DEDICATED_OVERFLOW,
     MULTI_CYCLE_COMPONENT,
     Component,
+    _away_from,
     _cycle_sequence,
+    _prune_to_core,
     orient_components,
 )
 from graphbalance.relief import run_relief
@@ -410,13 +412,13 @@ def reference_components(graph: EdgeGraph) -> list[Component]:
     return out
 
 
-def random_multigraph(rng: random.Random) -> EdgeGraph:
+def random_multigraph(rng: random.Random, lightest: int = 1) -> EdgeGraph:
     """Groups of up to seven nodes, each left bare (isolated nodes), joined
     by a ring (a simple cycle, or a parallel pair on two nodes) or by a
     random tree with zero to three extra edges (trees, parallel pairs,
     one-cycle and multi-cycle components).  Node and edge tuples are
     shuffled, edge ends come in either order, and edge ids do not sort in
-    the order the edges are made."""
+    the order the edges are made.  Edge weights lie in [lightest, 9]."""
     nodes = [f"m{i}" for i in range(rng.randint(1, 40))]
     rng.shuffle(nodes)
     ids = [f"e{i}" for i in range(4 * len(nodes))]
@@ -426,7 +428,7 @@ def random_multigraph(rng: random.Random) -> EdgeGraph:
     def join(u, v):
         if rng.random() < 0.5:
             u, v = v, u
-        edges.append(EdgeJob(ids.pop(), u, v, rng.randint(1, 9)))
+        edges.append(EdgeJob(ids.pop(), u, v, rng.randint(lightest, 9)))
 
     start = 0
     while start < len(nodes):
@@ -459,6 +461,83 @@ def test_components_match_the_reference_walk():
         parallel_pairs += sum(count >= 2 for count in ends.values())
     assert kinds == {"isolated", "tree", "cycle", "one_cycle", "multi_cycle"}
     assert parallel_pairs > 0
+
+
+def reference_min_edge_load_into(graph: EdgeGraph, subset) -> int | None:
+    """Reference: the floor that tests every component of the graph and
+    walks every tree the subset meets, however many of its nodes."""
+    subset = set(subset)
+    unknown = {v for v in subset if v not in graph.nodes}
+    if unknown:
+        raise KeyError(f"unknown nodes in subset: {sorted(unknown)}")
+    total = 0
+    for comp in graph.components():
+        if comp.kind == "multi_cycle":
+            return None
+        if subset.isdisjoint(comp.nodes):
+            continue
+        if comp.kind in ("cycle", "one_cycle"):
+            core_nodes, core_edges, folds = _prune_to_core(graph, comp)
+            total += sum(e.weight for e, head in folds if head in subset)
+            seq = _cycle_sequence(graph, core_nodes, core_edges)
+            total += min(
+                sum(e.weight for v, e in seq if e.other(v) in subset),
+                sum(e.weight for v, e in seq if v in subset),
+            )
+        else:  # a tree or a lone node: the cost of each root's orientation
+            root = comp.nodes[0]
+            walk = _away_from(graph, root)
+            cost = {root: sum(e.weight for e, head in walk if head in subset)}
+            for e, head in walk:
+                tail = e.other(head)
+                cost[head] = cost[tail] + e.weight * ((tail in subset) - (head in subset))
+            total += min(cost.values())
+    return total
+
+
+def subsets_to_try(rng: random.Random, graph: EdgeGraph):
+    """The empty subset, one node, a random share of the nodes of a random
+    share of the components, and a random subset of the nodes outside every
+    multi-cycle component."""
+    components = graph.components()
+    yield set()
+    yield {rng.choice(graph.nodes)}
+    subset = set()
+    for comp in components:
+        if rng.random() < 0.5:
+            subset.update(rng.sample(comp.nodes, rng.randint(1, len(comp.nodes))))
+    yield subset
+    outside = [
+        v for c in components if c.kind != "multi_cycle" for v in c.nodes
+    ]
+    yield set(rng.sample(outside, rng.randint(0, len(outside))))
+
+
+def test_min_edge_load_matches_the_every_component_reference():
+    """Equal results, None included, on seeded multigraphs with zero-weight
+    edges, for subsets that meet no component, one, or several, and meet
+    trees and cycles in one node or in more."""
+    met_components = Counter()
+    met_nodes = Counter()
+    disjoint_multi_cycle = zero_weights = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        graph = random_multigraph(rng, lightest=0)
+        zero_weights += sum(e.weight == 0 for e in graph.edges)
+        components = graph.components()
+        for subset in subsets_to_try(rng, graph):
+            got = min_edge_load_into(graph, subset)
+            assert got == reference_min_edge_load_into(graph, subset), (seed, subset)
+            hits = [(c, len(subset.intersection(c.nodes))) for c in components]
+            hits = [(c, count) for c, count in hits if count and c.kind != "isolated"]
+            met_components[min(len(hits), 2)] += 1
+            met_nodes.update((c.kind, min(count, 2)) for c, count in hits)
+            if got is None and all(c.kind != "multi_cycle" for c, _ in hits):
+                disjoint_multi_cycle += 1
+    assert set(met_components) == {0, 1, 2}
+    for kind in ("tree", "cycle", "one_cycle"):
+        assert met_nodes[kind, 1] and met_nodes[kind, 2], kind
+    assert disjoint_multi_cycle and zero_weights
 
 
 def memo_corpus():
